@@ -268,29 +268,42 @@ class FinSat:
             self.status = "exceeded: %s" % (exc.info,)
             return
         if added:
-            self._refix()
+            self._refix(added)
 
-    def _refix(self):
-        self.depth = {}
-        self._pi = {}
-        for cfg in self.univ:
+    def _refix(self, added):
+        """Extend the fixpoint to the configurations just added.
+
+        The universe is closed under successors, so a configuration
+        added later is never a successor of an earlier one and cannot
+        change its depth: only the new configurations need sweeping.
+        Round k may still read an earlier configuration of depth k-1,
+        so the rounds run on until nothing changes past the largest
+        depth already known."""
+        depth = self.depth
+        top = max(depth.values(), default=0)
+        todo = []
+        for cfg in added:
             if cfg.main[0] == cfg.main[1] and all(kc == kd for kc, kd in cfg.dp):
-                self.depth[cfg] = 0
+                depth[cfg] = 0
+            else:
+                todo.append(cfg)
         k = 0
         changed = True
-        while changed:
+        while todo and (changed or k <= top):
             changed = False
             k += 1
-            for cfg, branches in self.univ.items():
-                if cfg in self.depth:
-                    continue
+            rest = []
+            for cfg in todo:
+                branches = self.univ[cfg]
                 for pi in self.space.cpi(*cfg.main):
-                    steps = branches[pi]
-                    if all(s.config in self.depth and self.depth[s.config] < k for s in steps):
-                        self.depth[cfg] = k
+                    if all(depth.get(s.config, k) < k for s in branches[pi]):
+                        depth[cfg] = k
                         self._pi[cfg] = pi
                         changed = True
                         break
+                else:
+                    rest.append(cfg)
+            todo = rest
 
     def satisfiable(self, cfg: Configuration):
         self.ensure(cfg)
@@ -322,7 +335,6 @@ class FinSat:
                 sections[orb[p]] = reduce_word(lhs + wit + rhs)
         name = _fresh_names(sys, ["f"])[0]
         sys.define(name, pi, sections)
-        sys.validate()
         w: Word = ((name, 1),)
         self._witness[cfg] = w
         return w
@@ -345,12 +357,13 @@ def finitary_satisfiable(closure: ConfigClosure) -> FinSatReport:
         return FinSatReport(closure, [], None, None, closure.status)
     fin = FinSat(closure.space)
     fin.univ = {cfg: dict(branches) for cfg, branches in closure.universe.items()}
-    fin._refix()
+    fin._refix(list(fin.univ))
     sat = [(cfg, fin.depth[cfg]) for cfg in closure.configs if cfg in fin.depth]
     root_depth = fin.depth.get(closure.root)
     witness = None
     if root_depth is not None:
         witness = Element(closure.space.system, fin.witness_word(closure.root))
+        closure.space.system.validate()
     return FinSatReport(closure, sat, root_depth, witness, fin.status)
 
 
@@ -661,11 +674,9 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
                         rhs = _partial_power_section(sys, wvd, vpi[step.letter], p)
                         sections[orb[p]] = reduce_word(lhs + wit + rhs)
                 sys.define(names[t], vpi, sections)
-            sys.validate()
             w = synth_memo[pair]
         else:  # reduction
             pi, plan = rule[1], rule[2]
-            name = _fresh_names(sys, ["h"])[0]
             sections = [EMPTY] * sys.degree
             for orb, i2, j2 in plan:
                 x = orb[0]
@@ -675,13 +686,15 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
                     lhs = invert_word(_partial_power_section(sys, wc, x, p))
                     rhs = _partial_power_section(sys, wd, pi[x], p)
                     sections[orb[p]] = reduce_word(lhs + wit + rhs)
+            # named only now: the recursive calls above define names too
+            name = _fresh_names(sys, ["h"])[0]
             sys.define(name, pi, sections)
-            sys.validate()
             w = ((name, 1),)
         synth_memo[pair] = w
         return w
 
     h = Element(sys, synth((0, 0)))
+    sys.validate()
     check = equal(multiply(multiply(inverse(h), a), h), b, budget)
     if check is not True:
         log.error("bounded witness failed verification for (%s, %s): %r", a, b, check)

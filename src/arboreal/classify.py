@@ -384,7 +384,8 @@ def nucleus(g, size_cap: int = 512, depth_cap: int = 12) -> NucleusReport:
             return NucleusReport("unknown", reason="size cap %d exceeded" % size_cap)
     done: set[tuple[int, int]] = set()
     while True:
-        todo = [(u, v) for u in sorted(nset) for v in sorted(nset) if (u, v) not in done]
+        keys = sorted(nset)
+        todo = [(u, v) for u in keys for v in keys if (u, v) not in done]
         if not todo:
             break
         for u, v in todo:

@@ -2,7 +2,9 @@
 
 Nothing here knows about the decision procedures: actions are unrolled
 level by level straight from the recursion, so these functions serve as
-independent cross-checks for order, conjugacy and classification.
+independent cross-checks for order, conjugacy and classification.  The
+vertices of a level share one row per identical reduced section word;
+no two distinct words are merged, even when they name one element.
 """
 
 from __future__ import annotations
@@ -39,23 +41,38 @@ def _check_depth(degree: int, n: int, max_leaves: int):
 
 
 def _level_maps(g: Element, n: int):
-    """Yield the permutation of each level 0..n as a list of image codes."""
+    """Yield the permutation of each level 0..n as a list of image codes.
+
+    Each vertex carries the index of its section word in a table of the
+    distinct reduced words of its level; the root permutation and the
+    child indices of a word are computed once and shared by every vertex
+    with that same word.  Words are grouped by syntactic identity alone,
+    never by the word problem, so two spellings of one element get two
+    rows and the unrolling stays independent of the deciders it checks.
+    """
     sys = g.system
     d = sys.degree
-    secs = [g.word]
+    words = [g.word]
+    state = [0]
     img = [0]
     yield img
     for _ in range(n):
-        nimg = [0] * (len(secs) * d)
-        nsecs = [EMPTY] * (len(secs) * d)
-        for code, w in enumerate(secs):
-            p = sys.root_perm(w)
+        index: dict = {}
+        rows = []
+        for w in words:
+            kids = []
             for x in range(d):
-                nimg[code * d + x] = img[code] * d + p[x]
-                nsecs[code * d + x] = sys.section(w, x)
+                kids.append(index.setdefault(sys.section(w, x), len(index)))
+            rows.append((sys.root_perm(w), kids))
+        nimg: list = []
+        nstate: list = []
+        for base, k in zip(img, state):
+            p, kids = rows[k]
+            base *= d
+            nimg.extend([base + y for y in p])
+            nstate.extend(kids)
         yield nimg
-        secs = nsecs
-        img = nimg
+        words, state, img = list(index), nstate, nimg
 
 
 def truncate(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> TruncatedAut:

@@ -65,7 +65,10 @@ class FRSystem:
 
     Append-only: new symbols may be defined at any time but existing
     definitions never change, so cached sections, root permutations and
-    resolved equalities stay valid.  Reads are safe from multiple
+    resolved equalities stay valid.  The same holds for the inverse rows:
+    the first evaluation of s^-1 stores the inverse root permutation of
+    s and the inverted sections indexed by preimage letter, and every
+    later evaluation of s^-1 reads them.  Reads are safe from multiple
     threads under the GIL; concurrent definition is not supported.
     """
 
@@ -81,6 +84,8 @@ class FRSystem:
         self._sig: dict[Word, tuple] = {}
         self._parent: dict[Word, Word] = {}
         self._eq: dict[tuple[Word, Word], bool] = {}
+        # per symbol s: (perm of s^-1, section of s^-1 at each letter)
+        self._inv: dict[str, tuple[Perm, tuple[Word, ...]]] = {}
 
     # -- definitions ---------------------------------------------------
 
@@ -133,14 +138,22 @@ class FRSystem:
                 raise ValueError("bad exponent %r" % x)
         return w
 
+    def _inverse_row(self, s: str) -> tuple[Perm, tuple[Word, ...]]:
+        row = self._inv.get(s)
+        if row is None:
+            p, secs = self._defs[s]
+            ip = perm_inverse(p)
+            row = self._inv[s] = (ip, tuple(invert_word(secs[z]) for z in ip))
+        return row
+
     def root_perm(self, w: Word) -> Perm:
         cached = self._root.get(w)
         if cached is not None:
             return cached
         p = identity(self.degree)
         for s, x in w:
-            sp = self._defs[s][0]
-            p = tuple((sp[y] if x == 1 else perm_inverse(sp)[y]) for y in p)
+            sp = self._defs[s][0] if x == 1 else self._inverse_row(s)[0]
+            p = tuple(sp[y] for y in p)
         self._root[w] = p
         return p
 
@@ -156,14 +169,9 @@ class FRSystem:
         out: list[tuple[str, int]] = []
         y = letter
         for s, x in w:
-            p, secs = self._defs[s]
-            if x == 1:
-                out.extend(secs[y])
-                y = p[y]
-            else:
-                z = perm_inverse(p)[y]
-                out.extend(invert_word(secs[z]))
-                y = z
+            p, secs = self._defs[s] if x == 1 else self._inverse_row(s)
+            out.extend(secs[y])
+            y = p[y]
         res = reduce_word(out)
         self._sect[key] = res
         return res

@@ -16,10 +16,13 @@ from arboreal import (
     inverse,
     minimize,
     multiply,
+    orbit_signalizer,
     power,
+    random_bounded,
     verify_conjugator,
 )
-from arboreal.system import parse_system
+from arboreal.bounded import ConfigSpace, FinSat
+from arboreal.system import merge_into, parse_system
 
 from conftest import CARRY, ODOMETER, ZOO, one
 
@@ -213,3 +216,67 @@ def test_coordinate_labels_cover_the_closure(carry):
     labels = csys.coord_labels()
     assert len(labels) == csys.dim
     assert len(set(labels)) == csys.dim
+
+
+def planted_pair(seed, degree, budget_a, budget_h):
+    """a, the last symbol of random_bounded(seed), and h^-1*a*h for h
+    the last symbol of random_bounded(1000 + seed) merged beside it."""
+    sys = random_bounded(seed, budget_a, degree)
+    a = one(sys, sys.symbols[-1])
+    other = random_bounded(1000 + seed, budget_h, degree)
+    h = one(sys, merge_into(sys, other)[other.symbols[-1]])
+    return a, multiply(multiply(inverse(h), a), h)
+
+
+@pytest.mark.parametrize(
+    "degree,budget_a,budget_h,seed,depth",
+    [(2, 4, 3, s, 10) for s in (16, 96, 145)] + [(3, 6, 4, s, 6) for s in (36, 72, 107)],
+)
+def test_planted_pairs_synthesize_nested_witnesses(degree, budget_a, budget_h, seed, depth):
+    # these witnesses nest reductions and circuits, whose fresh names
+    # and half-built definitions once collided during synthesis
+    a, b = planted_pair(seed, degree, budget_a, budget_h)
+    dec = conjugate_in_pol0_cyclic(a, b)
+    assert dec.tag == "conjugate"
+    assert verify_conjugator(dec.conjugator, a, b, depth)
+    a.system.validate()
+
+
+def from_scratch_depths(fin):
+    """The finitary fixpoint swept over the whole universe at once."""
+    depth, pis = {}, {}
+    for cfg in fin.univ:
+        if cfg.main[0] == cfg.main[1] and all(kc == kd for kc, kd in cfg.dp):
+            depth[cfg] = 0
+    k, changed = 0, True
+    while changed:
+        changed = False
+        k += 1
+        for cfg, branches in fin.univ.items():
+            if cfg in depth:
+                continue
+            for pi in fin.space.cpi(*cfg.main):
+                if all(s.config in depth and depth[s.config] < k for s in branches[pi]):
+                    depth[cfg], pis[cfg] = k, pi
+                    changed = True
+                    break
+    return depth, pis
+
+
+def test_incremental_finitary_fixpoint_matches_a_full_sweep():
+    late_deep = 0
+    for degree, budget_a, budget_h, seeds in ((2, 4, 3, range(24)), (3, 6, 4, range(2))):
+        for seed in seeds:
+            a, b = planted_pair(seed, degree, budget_a, budget_h)
+            space = ConfigSpace(a.system)
+            fin = FinSat(space)
+            for c in orbit_signalizer(a, 512, letters="all").elements:
+                for d in orbit_signalizer(b, 512, letters="all").elements:
+                    before = set(fin.univ)
+                    fin.satisfiable(space.pair_config(space.key(c.word), space.key(d.word)))
+                    if before:
+                        late_deep += any(fin.depth.get(k, 0) >= 2 for k in fin.univ if k not in before)
+            assert fin.status == "complete"
+            assert (fin.depth, fin._pi) == from_scratch_depths(fin)
+    # later batches reach depths that need rounds past their own changes
+    assert late_deep >= 3

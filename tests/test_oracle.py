@@ -18,9 +18,10 @@ from arboreal import (
     truncated_order,
     verify_conjugator,
 )
+from arboreal.oracle import MAX_LEAVES
 from arboreal.system import format_system, parse_system
 
-from conftest import CARRY, TWISTED, one
+from conftest import CARRY, TWISTED, ZOO, one
 
 
 def test_truncation_of_the_identity(odometer):
@@ -28,6 +29,29 @@ def test_truncation_of_the_identity(odometer):
     t = truncate(multiply(a, inverse(a)), 5)
     for level in t.level_maps[1:]:
         assert list(level) == sorted(level)
+
+
+def deepest_level(degree: int) -> int:
+    n = 0
+    while degree ** (n + 1) <= MAX_LEAVES:
+        n += 1
+    return n
+
+
+def assert_matches_act(g, n):
+    """Every level map of the truncation agrees with act, vertex by vertex."""
+    d = g.system.degree
+    t = truncate(g, n)
+    vertices = [()]
+    for k in range(n + 1):
+        level = t.level_maps[k]
+        assert len(level) == d**k
+        for code, v in enumerate(vertices):
+            image = 0
+            for y in act(g, v):
+                image = image * d + y
+            assert level[code] == image
+        vertices = [v + (x,) for v in vertices for x in range(d)]
 
 
 def test_truncation_is_the_level_action(odometer):
@@ -41,6 +65,19 @@ def test_truncation_is_the_level_action(odometer):
         seen.add(x)
         x = t.level_maps[3][x]
     assert len(seen) == 8
+    assert_matches_act(a, 3)
+    # wider alphabets at the deepest level the oracle accepts, on words
+    # with an inverse factor
+    for degree in (3, 4, 5):
+        for seed in range(3):
+            sys = random_bounded(seed, 6, degree)
+            first, last = sys.symbols[0], sys.symbols[-1]
+            g = Element(sys, ((last, 1), (first, -1), (last, 1)))
+            assert_matches_act(g, deepest_level(degree))
+    # exponential activity, alone and against an inverse factor
+    zoo = parse_system(ZOO)
+    assert_matches_act(one(zoo, "l"), deepest_level(2))
+    assert_matches_act(Element(zoo, (("l", 1), ("m", -1))), deepest_level(2))
 
 
 def test_truncations_refuse_huge_depths(odometer):

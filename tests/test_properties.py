@@ -18,7 +18,8 @@ from arboreal import (
     section,
     truncated_order,
 )
-from arboreal.system import merge_into
+from arboreal.perms import inverse as perm_inverse
+from arboreal.system import invert_word, merge_into
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 letters = st.integers(min_value=0, max_value=1)
@@ -64,6 +65,20 @@ def test_sections_respect_products(seed, x):
     lhs = section(multiply(g, h), (x,))
     rhs = multiply(section(g, (x,)), section(h, act(g, (x,))))
     assert equal(lhs, rhs) is True
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.lists(st.tuples(st.integers(min_value=0), st.sampled_from((1, -1))), max_size=6))
+def test_inverse_words_evaluate_as_inverses(seed, picks):
+    sys = random_bounded(seed, 6, 3)
+    names = sys.symbols
+    w = sys.check_word(tuple((names[i % len(names)], x) for i, x in picks))
+    wi = invert_word(w)
+    p = sys.root_perm(w)
+    assert sys.root_perm(wi) == perm_inverse(p)
+    # w^-1 at y is the inverse of w at the preimage of y
+    for y in range(sys.degree):
+        assert sys.section(wi, y) == invert_word(sys.section(w, perm_inverse(p)[y]))
 
 
 @settings(max_examples=30, deadline=None)
