@@ -22,8 +22,9 @@ import logging
 from dataclasses import dataclass
 
 from .classify import orbit_signalizer, polynomial_degree
-from .conjugacy import _fresh_names, _partial_power_section, _successor_map
-from .elements import EQUALITY_BUDGET, Element, Exceeded, Interner, equal, inverse, multiply
+from .conjugacy import _fill_orbit, _partial_power_section, _successor_map
+from .elements import EQUALITY_BUDGET, Element, Exceeded, Interner, _same_system, equal, inverse, multiply
+from .graphs import surviving
 from .perms import Perm, compose, conjugators, is_identity, inverse as perm_inverse, orbits
 from .system import EMPTY, FRSystem, Word, format_word, invert_word, reduce_word
 
@@ -143,9 +144,16 @@ class ConfigSpace:
 
 @dataclass(eq=False)
 class ConfigClosure:
-    """Closure from the root configuration: universe holds every branch
-    explored, configs lists the surviving ones reachable through
-    choices whose successors all survive."""
+    """Closure from the root configuration.
+
+    universe maps every configuration explored to its branches, one per
+    root conjugator pi, each the tuple of orbit steps.  viable is the
+    survival fixpoint (graphs.surviving) over configurations and branch
+    nodes (cfg, pi): a branch needs every induced configuration, and a
+    configuration needs one of its branches.  configs lists the viable
+    configurations reachable from the root through surviving branches,
+    in breadth-first order.
+    """
 
     space: ConfigSpace
     root: Configuration
@@ -169,9 +177,7 @@ class ConfigClosure:
 
 def configurations(a: Element, b: Element, cap: int = 512) -> ConfigClosure:
     _require_bounded(a, b)
-    if a.system is not b.system:
-        raise ValueError("conjugacy needs both elements in one system")
-    space = ConfigSpace(a.system)
+    space = ConfigSpace(_same_system(a, b))
     try:
         root = space.root_config(a, b)
         universe: dict = {}
@@ -192,20 +198,14 @@ def configurations(a: Element, b: Element, cap: int = 512) -> ConfigClosure:
             universe[cfg] = branches
     except _CapExceeded as exc:
         return ConfigClosure(space, None, [], {}, set(), "exceeded: %s" % (exc.info,))
-    # survival: a configuration needs a permutation all of whose induced
-    # configurations survive; empty conjugator sets die and propagate up
-    viable = set(universe)
-    changed = True
-    while changed:
-        changed = False
-        for cfg in list(viable):
-            ok = any(
-                all(s.config in viable for s in steps)
-                for steps in universe[cfg].values()
-            )
-            if not ok:
-                viable.discard(cfg)
-                changed = True
+    # a configuration with no conjugator has one empty group and dies
+    groups: dict = {}
+    for cfg, branches in universe.items():
+        groups[cfg] = [[(cfg, pi) for pi in branches]]
+        for pi, steps in branches.items():
+            groups[(cfg, pi)] = [(s.config,) for s in steps]
+    alive = surviving(groups)
+    viable = {cfg for cfg in universe if cfg in alive}
     configs: list = []
     if root in viable:
         configs = [root]
@@ -215,7 +215,7 @@ def configurations(a: Element, b: Element, cap: int = 512) -> ConfigClosure:
             cfg = configs[pos]
             pos += 1
             for pi, steps in universe[cfg].items():
-                if all(s.config in viable for s in steps):
+                if (cfg, pi) in alive:
                     for s in steps:
                         if s.config not in listed:
                             listed.add(s.config)
@@ -327,13 +327,8 @@ class FinSat:
         sections: list = [EMPTY] * sys.degree
         for step in self.univ[cfg][pi]:
             wit = self.witness_word(step.config)
-            orb = next(o for o in orbits(sys.root_perm(wa)) if o[0] == step.letter)
-            sections[step.letter] = wit
-            for p in range(1, step.size):
-                lhs = invert_word(_partial_power_section(sys, wa, step.letter, p))
-                rhs = _partial_power_section(sys, wb, pi[step.letter], p)
-                sections[orb[p]] = reduce_word(lhs + wit + rhs)
-        name = _fresh_names(sys, ["f"])[0]
+            _fill_orbit(sys, sections, wa, wb, step.letter, pi[step.letter], wit)
+        [name] = sys.fresh_names(["f"])
         sys.define(name, pi, sections)
         w: Word = ((name, 1),)
         self._witness[cfg] = w
@@ -445,9 +440,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
     exactly verified conjugator, and negatives report the stable set.
     """
     _require_bounded(a, b)
-    sys = a.system
-    if b.system is not sys:
-        raise ValueError("conjugacy needs both elements in one system")
+    sys = _same_system(a, b)
     os_a = orbit_signalizer(a, cap, letters="all")
     os_b = orbit_signalizer(b, cap, letters="all")
     if not (os_a.complete and os_b.complete):
@@ -654,7 +647,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
             w = rule[1]
         elif rule[0] == "circuit":
             cycle, letters = rule[1], rule[2]
-            names = _fresh_names(sys, ["h"] * len(cycle))
+            names = sys.fresh_names(["h"] * len(cycle))
             for t, (vi, vj, vpi) in enumerate(cycle):
                 synth_memo[(vi, vj)] = ((names[t], 1),)
             for t, (vi, vj, vpi) in enumerate(cycle):
@@ -664,30 +657,19 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
                 sections: list = [EMPTY] * sys.degree
                 for step in space.steps(cfg, vpi):
                     if step.letter == letters[t]:
-                        sections[step.letter] = ((names[(t + 1) % len(cycle)], 1),)
-                        continue
-                    wit = fin.witness_word(step.config)
-                    orb = next(o for o in orbits(sys.root_perm(wvc)) if o[0] == step.letter)
-                    sections[step.letter] = wit
-                    for p in range(1, step.size):
-                        lhs = invert_word(_partial_power_section(sys, wvc, step.letter, p))
-                        rhs = _partial_power_section(sys, wvd, vpi[step.letter], p)
-                        sections[orb[p]] = reduce_word(lhs + wit + rhs)
+                        wit = ((names[(t + 1) % len(cycle)], 1),)
+                    else:
+                        wit = fin.witness_word(step.config)
+                    _fill_orbit(sys, sections, wvc, wvd, step.letter, vpi[step.letter], wit)
                 sys.define(names[t], vpi, sections)
             w = synth_memo[pair]
         else:  # reduction
             pi, plan = rule[1], rule[2]
             sections = [EMPTY] * sys.degree
             for orb, i2, j2 in plan:
-                x = orb[0]
-                wit = synth((i2, j2))
-                sections[x] = wit
-                for p in range(1, len(orb)):
-                    lhs = invert_word(_partial_power_section(sys, wc, x, p))
-                    rhs = _partial_power_section(sys, wd, pi[x], p)
-                    sections[orb[p]] = reduce_word(lhs + wit + rhs)
+                _fill_orbit(sys, sections, wc, wd, orb[0], pi[orb[0]], synth((i2, j2)))
             # named only now: the recursive calls above define names too
-            name = _fresh_names(sys, ["h"])[0]
+            [name] = sys.fresh_names(["h"])
             sys.define(name, pi, sections)
             w = ((name, 1),)
         synth_memo[pair] = w

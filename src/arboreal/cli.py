@@ -17,8 +17,6 @@ import time
 from . import __version__
 from .bounded import (
     NotBounded,
-    bounded_choice_search,
-    choice_system,
     conjugate_in_pol0_cyclic,
     conjugate_in_pol_inf,
     conjugate_in_pol_minus1,
@@ -33,7 +31,7 @@ from .conjugacy import (
     sim_basic_conjugator,
 )
 from .dot import emit_dot
-from .elements import Element, Exceeded, act, equal
+from .elements import Element, act, equal
 from .oracle import DepthTooLarge, orbit_tree_code, truncated_order, verify_conjugator
 from .order import order
 from .perms import DegreeTooLarge
@@ -51,7 +49,7 @@ def _load(path: str) -> tuple[FRSystem, str]:
 
 
 def _word(sys: FRSystem, text: str) -> Element:
-    return Element(sys, parse_word(text, degree_hint=sys.degree))
+    return Element(sys, parse_word(text))
 
 
 def _vertex(sys: FRSystem, text: str) -> tuple:
@@ -195,71 +193,52 @@ def _verify_or_fail(h, pairs, depth):
 def _cmd_conjugate(args):
     sys, _ = _load(args.file)
     caps = {"cap": args.cap, "verify_depth": args.verify_depth}
+    note = None
+    # synthesize: the graph synthesis of an Aut verdict, or None when the
+    # decision carries its own conjugator
     if args.simultaneous:
         if args.group != "aut":
             raise _Usage("--simultaneous supports only --group aut")
         as_ = [_word(sys, t) for t in args.w1.split(",")]
         bs = [_word(sys, t) for t in args.w2.split(",")]
+        pairs = list(zip(as_, bs))
         dec = conjugate_in_aut_simultaneous(as_, bs, args.cap)
-        if dec.tag == "unknown":
-            return 2, "unknown", {"reason": dec.reason}, caps, []
-        if not dec.conjugate:
-            return 1, "not conjugate", {"reason": dec.reason}, caps, []
-        h = sim_basic_conjugator(dec.graph)
-        if not _verify_or_fail(h.element, list(zip(as_, bs)), args.verify_depth):
-            return 2, "unknown", {"reason": "verification failed"}, caps, []
-        witness = _conjugator_witness(sys, h.element.word)
-        witness["verified_depth"] = args.verify_depth
-        return 0, "conjugate", witness, caps, _emit_lines(witness) if args.emit_conjugator else []
-
-    a, b = _word(sys, args.w1), _word(sys, args.w2)
-    group = args.group
-    note = None
-    if group == "fsg":
-        if is_bounded(a) and is_bounded(b):
-            group = "aut"
-            note = "both inputs bounded; finite-state verdict equals the unrestricted one"
-        else:
-            na, nb = nucleus(a, size_cap=args.cap), nucleus(b, size_cap=args.cap)
-            osa = orbit_signalizer(a, args.cap)
-            osb = orbit_signalizer(b, args.cap)
-            if na.contracting and nb.contracting and osa.complete and osb.complete:
+        reason, cls, synthesize = dec.reason, None, sim_basic_conjugator
+    else:
+        a, b = _word(sys, args.w1), _word(sys, args.w2)
+        pairs = [(a, b)]
+        group = args.group
+        if group == "fsg":
+            if is_bounded(a) and is_bounded(b):
                 group = "aut"
-                note = "contraction verified and both orbit-power closures complete"
+                note = "both inputs bounded; finite-state verdict equals the unrestricted one"
             else:
-                reason = ("finite-state restriction undecided here: inputs are not both bounded "
-                          "and contraction or closure completeness could not be verified")
-                return 2, "unknown", {"reason": reason}, caps, []
-
-    if group == "aut":
-        dec = conjugate_in_aut(a, b, args.cap)
-        if dec.tag == "unknown":
-            return 2, "unknown", {"reason": dec.reason}, caps, []
-        if not dec.conjugate:
-            return 1, "not conjugate", {"reason": dec.reason or "no surviving root"}, caps, []
-        h = basic_conjugator(dec.graph)
-        if not _verify_or_fail(h.element, [(a, b)], args.verify_depth):
-            return 2, "unknown", {"reason": "verification failed"}, caps, []
-        witness = _conjugator_witness(sys, h.element.word)
-    elif group == "pol-1":
-        dec = conjugate_in_pol_minus1(a, b, args.cap)
-        if dec.tag == "unknown":
-            return 2, "unknown", {"reason": dec.certificate}, caps, []
-        if not dec.conjugate:
-            return 1, "not conjugate", {"reason": dec.certificate}, caps, []
-        if not _verify_or_fail(dec.conjugator, [(a, b)], args.verify_depth):
-            return 2, "unknown", {"reason": "verification failed"}, caps, []
-        witness = _conjugator_witness(sys, dec.conjugator.word, dec.cls)
-    else:  # pol0 | polinf
-        decide = conjugate_in_pol0_cyclic if group == "pol0" else conjugate_in_pol_inf
-        dec = decide(a, b, args.cap)
-        if dec.tag == "unknown":
-            return 2, "unknown", {"reason": dec.certificate}, caps, []
-        if not dec.conjugate:
-            return 1, "not conjugate", {"reason": dec.certificate}, caps, []
-        if not _verify_or_fail(dec.conjugator, [(a, b)], args.verify_depth):
-            return 2, "unknown", {"reason": "verification failed"}, caps, []
-        witness = _conjugator_witness(sys, dec.conjugator.word, dec.cls)
+                na, nb = nucleus(a, size_cap=args.cap), nucleus(b, size_cap=args.cap)
+                osa = orbit_signalizer(a, args.cap)
+                osb = orbit_signalizer(b, args.cap)
+                if na.contracting and nb.contracting and osa.complete and osb.complete:
+                    group = "aut"
+                    note = "contraction verified and both orbit-power closures complete"
+                else:
+                    reason = ("finite-state restriction undecided here: inputs are not both bounded "
+                              "and contraction or closure completeness could not be verified")
+                    return 2, "unknown", {"reason": reason}, caps, []
+        if group == "aut":
+            dec = conjugate_in_aut(a, b, args.cap)
+            reason, cls, synthesize = dec.reason or "no surviving root", None, basic_conjugator
+        else:
+            decide = {"pol-1": conjugate_in_pol_minus1, "pol0": conjugate_in_pol0_cyclic,
+                      "polinf": conjugate_in_pol_inf}[group]
+            dec = decide(a, b, args.cap)
+            reason, cls, synthesize = dec.certificate, dec.cls, None
+    if dec.tag == "unknown":
+        return 2, "unknown", {"reason": reason}, caps, []
+    if not dec.conjugate:
+        return 1, "not conjugate", {"reason": reason}, caps, []
+    h = synthesize(dec.graph).element if synthesize else dec.conjugator
+    if not _verify_or_fail(h, pairs, args.verify_depth):
+        return 2, "unknown", {"reason": "verification failed"}, caps, []
+    witness = _conjugator_witness(sys, h.word, cls)
     witness["verified_depth"] = args.verify_depth
     if note:
         witness["note"] = note

@@ -19,7 +19,8 @@ import logging
 from dataclasses import dataclass
 
 from .classify import OrbitSignalizer, orbit_signalizer
-from .elements import Element, Exceeded, Interner, multiply
+from .elements import Element, Exceeded, Interner, _same_system
+from .graphs import surviving
 from .oracle import MAX_LEAVES, TruncatedAut, _check_depth
 from .perms import Perm, conjugators, inverse as perm_inverse, orbits
 from .system import EMPTY, FRSystem, Word, format_system, invert_word, reduce_word
@@ -39,28 +40,24 @@ def _partial_power_section(sys: FRSystem, w: Word, start: int, steps: int) -> Wo
     return reduce_word(tuple(out))
 
 
-def _same_system(a: Element, b: Element) -> FRSystem:
-    if a.system is not b.system:
-        raise ValueError("conjugacy needs both elements in one system")
-    return a.system
+def _fill_orbit(sys: FRSystem, sections: list, wc: Word, wd: Word, x: int, y: int, wit: Word) -> None:
+    """Fill in the sections of a conjugator h from c to d along the orbit
+    of x under c.
 
-
-def _fresh_names(sys: FRSystem, bases: list) -> list:
-    # fresh_name alone is not enough here: synthesis batches all names
-    # before the first define, so reservations must be tracked locally
-    taken = set(sys.symbols)
-    out = []
-    for base in bases:
-        name = base if base not in taken else None
-        i = 2
-        while name is None:
-            cand = "%s_%d" % (base, i)
-            if cand not in taken:
-                name = cand
-            i += 1
-        taken.add(name)
-        out.append(name)
-    return out
+    Given h|_x = wit and x^pi = y, every other letter of the orbit gets
+    h|_(x c^p) = (c^p|_x)^-1 * wit * d^p|_y; the power sections c^p|_x
+    and d^p|_y grow by one factor per step of one walk of the orbit.
+    """
+    sections[x] = wit
+    pc, pd = sys.root_perm(wc), sys.root_perm(wd)
+    lhs: Word = EMPTY
+    rhs: Word = EMPTY
+    u, v = x, y
+    while pc[u] != x:
+        lhs = reduce_word(lhs + sys.section(wc, u))
+        rhs = reduce_word(rhs + sys.section(wd, v))
+        u, v = pc[u], pd[v]
+        sections[u] = reduce_word(invert_word(lhs) + wit + rhs)
 
 
 # -- the pair graph ------------------------------------------------------------
@@ -100,8 +97,17 @@ def _successor_map(os: OrbitSignalizer) -> dict:
     return {(e[0], e[3]): (e[1], e[2]) for e in os.edges}
 
 
-def conj_graph(a: Element, b: Element, cap: int = 512, reachable_only: bool = False) -> ConjGraph:
-    sys = _same_system(a, b)
+def conj_graph(a: Element, b: Element, cap: int = 512) -> ConjGraph:
+    """Pruned conjugator graph of (a, b) over the full group.
+
+    The candidates are every triple (i, j, pi) with pi a conjugator of
+    the root permutations of the i-th element of a's orbit-power closure
+    and the j-th of b's.  Each orbit of the first component is one group
+    of successor triples, and graphs.surviving keeps the triples whose
+    every orbit leads to a survivor.  Status "exceeded" (and an empty
+    graph) when either closure hits the cap.
+    """
+    _same_system(a, b)
     os_a = orbit_signalizer(a, cap, letters="all")
     os_b = orbit_signalizer(b, cap, letters="all")
     graph = ConjGraph(os_a, os_b, [], {}, [], "complete")
@@ -129,39 +135,14 @@ def conj_graph(a: Element, b: Element, cap: int = 512, reachable_only: bool = Fa
             out[x] = [(ti, tj, tau) for tau in options(ti, tj)]
         return out
 
-    if reachable_only:
-        candidates: list = [(0, 0, pi) for pi in options(0, 0)]
-        seen = set(candidates)
-        pos = 0
-        all_edges = {}
-        while pos < len(candidates):
-            v = candidates[pos]
-            pos += 1
-            all_edges[v] = vertex_edges(v)
-            for succs in all_edges[v].values():
-                for s in succs:
-                    if s not in seen:
-                        seen.add(s)
-                        candidates.append(s)
-    else:
-        candidates = [
-            (i, j, pi)
-            for i in range(len(os_a.elements))
-            for j in range(len(os_b.elements))
-            for pi in options(i, j)
-        ]
-        all_edges = {v: vertex_edges(v) for v in candidates}
-
-    alive = set(candidates)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(alive):
-            for succs in all_edges[v].values():
-                if not any(s in alive for s in succs):
-                    alive.discard(v)
-                    changed = True
-                    break
+    candidates = [
+        (i, j, pi)
+        for i in range(len(os_a.elements))
+        for j in range(len(os_b.elements))
+        for pi in options(i, j)
+    ]
+    all_edges = {v: vertex_edges(v) for v in candidates}
+    alive = surviving({v: e.values() for v, e in all_edges.items()})
     graph.vertices = sorted(alive)
     graph.edges = {
         v: {x: [s for s in succs if s in alive] for x, succs in all_edges[v].items()}
@@ -254,8 +235,7 @@ def _synthesize(graph: ConjGraph, choose) -> ConjugatorFR:
             _, ti, tj = graph.successor_pair(i, j, assign[(i, j)], orb[0])
             if (ti, tj) not in assign:
                 fix((ti, tj))
-    allocated = _fresh_names(sys, ["h" if p == (0, 0) else "g" for p in order])
-    names = dict(zip(order, allocated))
+    names = dict(zip(order, sys.fresh_names(["h" if p == (0, 0) else "g" for p in order])))
     for pair in order:
         i, j = pair
         pi = assign[pair]
@@ -265,12 +245,7 @@ def _synthesize(graph: ConjGraph, choose) -> ConjugatorFR:
         for orb in orbits(perm_a[i]):
             x = orb[0]
             _, ti, tj = graph.successor_pair(i, j, pi, x)
-            succ = ((names[(ti, tj)], 1),)
-            sections[x] = succ
-            for p in range(1, len(orb)):
-                lhs = invert_word(_partial_power_section(sys, w_c, x, p))
-                rhs = _partial_power_section(sys, w_d, pi[x], p)
-                sections[orb[p]] = reduce_word(lhs + succ + rhs)
+            _fill_orbit(sys, sections, w_c, w_d, x, pi[x], ((names[(ti, tj)], 1),))
         sys.define(names[pair], pi, sections)
     sys.validate()
     return ConjugatorFR(
@@ -425,8 +400,7 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> SimConjGraph:
         raise ValueError("need equally many source and target elements")
     sys = as_[0].system
     for g in list(as_) + list(bs):
-        if g.system is not sys:
-            raise ValueError("conjugacy needs all elements in one system")
+        _same_system(as_[0], g)
     intern = Interner(sys)
     graph = SimConjGraph(intern, [], {}, [], "complete")
 
@@ -488,17 +462,8 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> SimConjGraph:
                     seen.add(s)
                     candidates.append(s)
         all_edges[v] = edges
-    alive = set(candidates)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(alive):
-            for succs in all_edges[v].values():
-                if not any(s in alive for s in succs):
-                    alive.discard(v)
-                    changed = True
-                    break
-    graph.vertices = sorted(alive, key=lambda v: (candidates.index(v),))
+    alive = surviving({v: e.values() for v, e in all_edges.items()})
+    graph.vertices = [v for v in candidates if v in alive]
     graph.edges = {
         v: {x: [s for s in succs if s in alive] for x, succs in all_edges[v].items()}
         for v in graph.vertices
@@ -557,8 +522,7 @@ def sim_basic_conjugator(graph: SimConjGraph, policy="least") -> ConjugatorFR:
                 fix(tk2)
             plan.append((orbit_info, tk2, a_words, b_words))
         plans[tk] = plan
-    allocated = _fresh_names(sys, ["h" if tk == graph.root_tuple else "g" for tk in order])
-    names = dict(zip(order, allocated))
+    names = dict(zip(order, sys.fresh_names(["h" if tk == graph.root_tuple else "g" for tk in order])))
     for tk in order:
         pi = assign[tk]
         sections: list = [EMPTY] * sys.degree

@@ -244,47 +244,43 @@ class Interner:
     def __len__(self):
         return len(self.elements)
 
-    def key(self, g: Element):
-        """Key of g, or Exceeded when an equality run blows the budget."""
+    def _probe(self, root: Word):
+        """(key, signature) for a union-find representative word that is
+        not a known root: key is that of an interned element equal to it,
+        None when there is none, or Exceeded; signature is None when the
+        word is too long to probe."""
         sys = self.system
-        root = sys.find(g.word)
-        hit = self._by_root.get(root)
-        if hit is not None:
-            return hit
         if len(root) > MAX_WORD_LENGTH:
-            return Exceeded("word length", MAX_WORD_LENGTH)
+            return Exceeded("word length", MAX_WORD_LENGTH), None
         sig = sys.signature(root)
-        bucket = self._buckets.setdefault(sig, [])
-        for k in bucket:
+        for k in self._buckets.get(sig, ()):
             res = equal(self.elements[k], Element(sys, root), self.budget)
             if res is True:
                 self._by_root[sys.find(root)] = k
-                return k
+                return k, sig
             if isinstance(res, Exceeded):
-                return res
+                return res, sig
+        return None, sig
+
+    def key(self, g: Element):
+        """Key of g, or Exceeded when an equality run blows the budget."""
+        root = self.system.find(g.word)
+        hit = self._by_root.get(root)
+        if hit is None:
+            hit, sig = self._probe(root)
+        if hit is not None:
+            return hit
         k = len(self.elements)
-        self.elements.append(Element(sys, root))
-        bucket.append(k)
+        self.elements.append(Element(self.system, root))
+        self._buckets.setdefault(sig, []).append(k)
         self._by_root[root] = k
         return k
 
     def lookup(self, g: Element):
         """Key of g if semantically present, else None; never inserts."""
-        sys = self.system
-        root = sys.find(g.word)
+        root = self.system.find(g.word)
         hit = self._by_root.get(root)
-        if hit is not None:
-            return hit
-        if len(root) > MAX_WORD_LENGTH:
-            return Exceeded("word length", MAX_WORD_LENGTH)
-        for k in self._buckets.get(sys.signature(root), ()):
-            res = equal(self.elements[k], Element(sys, root), self.budget)
-            if res is True:
-                self._by_root[sys.find(root)] = k
-                return k
-            if isinstance(res, Exceeded):
-                return res
-        return None
+        return hit if hit is not None else self._probe(root)[0]
 
     def element(self, k: int) -> Element:
         return self.elements[k]

@@ -1,6 +1,35 @@
-"""Strongly connected components, iteratively (deep graphs, no recursion)."""
+"""Graph algorithms shared by the deciders, iterative throughout (deep
+graphs, no recursion).
+
+`surviving` is the one survival fixpoint: the conjugator graphs, the
+simultaneous tuple graphs and the configuration closures all prune by
+it.  `strongly_connected_components` serves the order graphs and the
+circuit analysis of classification.
+"""
 
 from __future__ import annotations
+
+
+def surviving(groups) -> set:
+    """Greatest fixpoint of survival: a node survives iff every one of
+    its groups has a surviving member.
+
+    groups maps each node to a re-iterable collection of groups, each a
+    re-iterable collection of nodes.  A node with an empty group dies, a
+    node with no groups survives, and a member that is not a key of
+    groups never survives.  Sweeps repeat until nothing dies.
+    """
+    alive = set(groups)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(alive):
+            for group in groups[v]:
+                if alive.isdisjoint(group):
+                    alive.discard(v)
+                    changed = True
+                    break
+    return alive
 
 
 def strongly_connected_components(n: int, successors) -> list[list[int]]:
@@ -54,17 +83,3 @@ def strongly_connected_components(n: int, successors) -> list[list[int]]:
                         break
                 components.append(comp)
     return components
-
-
-def condensation(n: int, successors, components: list[list[int]]):
-    """(component index per node, edge set between distinct components)."""
-    comp_of = [0] * n
-    for ci, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = ci
-    edges = set()
-    for v in range(n):
-        for w in successors(v):
-            if comp_of[v] != comp_of[w]:
-                edges.add((comp_of[v], comp_of[w]))
-    return comp_of, edges

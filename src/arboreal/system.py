@@ -70,6 +70,9 @@ class FRSystem:
     s and the inverted sections indexed by preimage letter, and every
     later evaluation of s^-1 reads them.  Reads are safe from multiple
     threads under the GIL; concurrent definition is not supported.
+
+    fresh_names is the one name allocator: merges and every conjugator
+    synthesis take the names of the symbols they define from it.
     """
 
     def __init__(self, degree: int):
@@ -119,13 +122,23 @@ class FRSystem:
     def definition(self, name: str) -> tuple[Perm, tuple[Word, ...]]:
         return self._defs[name]
 
-    def fresh_name(self, base: str) -> str:
-        if base not in self._defs and base != TRIVIAL_NAME and _NAME_RE.fullmatch(base):
-            return base
-        i = 2
-        while "%s_%d" % (base, i) in self._defs:
-            i += 1
-        return "%s_%d" % (base, i)
+    def fresh_names(self, bases) -> list[str]:
+        """One name per base, used by no defined symbol and by no other
+        name of the list: the base itself when that is free and valid,
+        else the first free base_2, base_3, ...  Nothing is reserved: a
+        later call may hand out a name again until it is defined."""
+        taken = set(self._defs)
+        out = []
+        for base in bases:
+            name = base
+            if name in taken or name == TRIVIAL_NAME or not _NAME_RE.fullmatch(name):
+                i = 2
+                while "%s_%d" % (base, i) in taken:
+                    i += 1
+                name = "%s_%d" % (base, i)
+            taken.add(name)
+            out.append(name)
+        return out
 
     # -- word-level evaluation ------------------------------------------
 
@@ -227,9 +240,7 @@ def merge_into(dst: FRSystem, src: FRSystem) -> dict[str, str]:
     """
     if dst.degree != src.degree:
         raise ValueError("cannot merge systems with different alphabets")
-    ren: dict[str, str] = {}
-    for name in src.symbols:
-        ren[name] = dst.fresh_name(name)
+    ren = dict(zip(src.symbols, dst.fresh_names(src.symbols)))
     for name in src.symbols:
         perm, secs = src.definition(name)
         dst.define(ren[name], perm, tuple(rename_word(w, ren) for w in secs))
@@ -243,7 +254,7 @@ def rename_word(w: Word, ren: dict[str, str]) -> Word:
 # -- parsing ------------------------------------------------------------
 
 
-def parse_word(text: str, line: int = 1, col: int = 1, degree_hint: int | None = None) -> Word:
+def parse_word(text: str, line: int = 1, col: int = 1) -> Word:
     """Parse a section word: `e` or `*`-joined `sym` / `sym^-1` factors."""
     out: list[tuple[str, int]] = []
     pos = 0

@@ -23,6 +23,7 @@ from arboreal import (
     sim_conj_graph,
     verify_conjugator,
 )
+from arboreal.graphs import surviving
 from arboreal.system import parse_system
 
 from conftest import BRANCH, TWISTED, one
@@ -99,6 +100,27 @@ def test_every_surviving_vertex_keeps_total_edges():
         for letter, targets in graph.edges[v].items():
             assert targets
             assert all(t in graph.vertices for t in targets)
+
+
+def test_survival_fixpoint_on_hand_made_graphs():
+    # each node has one group, its only successor; the chain dies from its
+    # far end whatever order a sweep visits the nodes in
+    chain = {k: [[k + 1]] for k in range(40)}
+    chain[40] = [[]]
+    assert surviving(chain) == set()
+    # an empty group kills, no group at all survives, a non-node never survives
+    assert surviving({"x": [], "y": [[]], "z": [["w"]]}) == {"x"}
+    # a cycle survives, and so does a node that picks it over a dead member
+    cyc = {"p": [["q"]], "q": [["p", "dead"]], "r": [["dead", "q"], ["p"]], "dead": [[]]}
+    assert surviving(cyc) == {"p", "q", "r"}
+    # the configuration form: a node needs one live branch, a branch every step
+    branches = {
+        "A": [[("A", 0), ("A", 1)]], ("A", 0): [("B",)], ("A", 1): [("C",), ("A",)],
+        "B": [[("B", 0)]], ("B", 0): [("A",), ("D",)],
+        "C": [[("C", 0)]], ("C", 0): [("C",)],
+        "D": [[]],
+    }
+    assert surviving(branches) == {"A", ("A", 1), "C", ("C", 0)}
 
 
 def test_powers_of_the_odometer_are_not_conjugate(odometer):

@@ -88,10 +88,25 @@ def test_fresh_names_do_not_collide():
     sys = parse_system(TWISTED)
     seen = set(sys.symbols)
     for _ in range(5):
-        name = sys.fresh_name("a")
+        [name] = sys.fresh_names(["a"])
         sys.define(name, (0, 1), [(), ()])
         assert name not in seen
         seen.add(name)
+    # one batch: names are distinct from each other as well
+    batch = sys.fresh_names(["a", "a", "a_2", "c", "c", "e"])
+    assert len(set(batch)) == len(batch)
+    assert not seen & set(batch)
+    assert batch[3] == "c" and "e" not in batch
+
+
+def test_merge_renames_past_names_it_hands_out():
+    # dst has a; src has a and a_2: a must not be renamed onto src's a_2
+    dst = parse_system(TWISTED)
+    src = parse_system("alphabet 2\na = (e, a_2) [1 0]\na_2 = (a, e)\n")
+    ren = merge_into(dst, src)
+    assert ren == {"a": "a_2", "a_2": "a_2_2"}
+    assert dst.definition("a_2")[1][1] == (("a_2_2", 1),)
+    dst.validate()
 
 
 def test_merge_translates_sections():
