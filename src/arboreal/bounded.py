@@ -22,9 +22,9 @@ import logging
 from dataclasses import dataclass
 
 from .classify import orbit_signalizer, polynomial_degree
-from .conjugacy import _fill_orbit, _partial_power_section, _successor_map
+from .conjugacy import _fill_orbit, _successor_map
 from .elements import EQUALITY_BUDGET, Element, Exceeded, Interner, _same_system, equal, inverse, multiply
-from .graphs import surviving
+from .graphs import breadth_first, surviving
 from .perms import Perm, compose, conjugators, is_identity, inverse as perm_inverse, orbits
 from .system import EMPTY, FRSystem, Word, format_word, invert_word, reduce_word
 
@@ -112,26 +112,44 @@ class ConfigSpace:
         out = []
         for orb in orbits(sys.root_perm(wa)):
             x, m = orb[0], len(orb)
-            main2 = (
-                self.key(_partial_power_section(sys, wa, x, m)),
-                self.key(_partial_power_section(sys, wb, pi[x], m)),
-            )
+            pa, pb = sys.power_sections(wa, x), sys.power_sections(wb, pi[x])
+            main2 = (self.key(pa[m]), self.key(pb[m]))
             moves = []
             for kc, kd in cfg.dp:
                 wc, wd = self.word(kc), self.word(kd)
-                pow_a: Word = EMPTY
-                pow_b: Word = EMPTY
-                for _ in range(m):
-                    c2 = sys.section(reduce_word(pow_a + wc), x)
-                    d2 = sys.section(reduce_word(pow_b + wd), pi[x])
+                # (a^t * c)|_x = a^t|_x * c|_(x a^t), and x a^t pi = x pi b^t
+                for t, y in enumerate(orb):
+                    c2 = reduce_word(pa[t] + sys.section(wc, y))
+                    d2 = reduce_word(pb[t] + sys.section(wd, pi[y]))
                     moves.append(((kc, kd), (self.key(c2), self.key(d2))))
-                    pow_a = reduce_word(pow_a + wa)
-                    pow_b = reduce_word(pow_b + wb)
             cfg2 = self.config(main2, [t for _, t in moves])
             out.append(_OrbitStep(x, m, cfg2, tuple(moves)))
         out = tuple(out)
         self._succ[(cfg, pi)] = out
         return out
+
+    def explore(self, root: Configuration, universe: dict, cap: int, full: str) -> list:
+        """Breadth-first walk from root through the configurations not
+        yet in universe.  Each gets its branches {pi: steps} in universe
+        and is returned, in discovery order.  Raises _CapExceeded(full)
+        when universe would hold more than cap configurations."""
+        if root in universe:
+            return []
+
+        def successors(cfg):
+            # a generator: a walk stopped at the cap computes no more steps
+            branches = universe[cfg] = {}
+            for pi in self.cpi(*cfg.main):
+                branches[pi] = steps = self.steps(cfg, pi)
+                for s in steps:
+                    if s.config not in universe:
+                        yield s.config
+
+        room = cap - len(universe)
+        added = breadth_first(root, successors, room) if room > 0 else None
+        if added is None:
+            raise _CapExceeded(full)
+        return added
 
     def describe(self, cfg: Configuration) -> str:
         pair = "(%s, %s)" % (format_word(self.word(cfg.main[0])), format_word(self.word(cfg.main[1])))
@@ -178,24 +196,11 @@ class ConfigClosure:
 def configurations(a: Element, b: Element, cap: int = 512) -> ConfigClosure:
     _require_bounded(a, b)
     space = ConfigSpace(_same_system(a, b))
+    universe: dict = {}
     try:
         root = space.root_config(a, b)
-        universe: dict = {}
-        queue = [root]
-        seen = {root}
-        while queue:
-            cfg = queue.pop(0)
-            branches = {}
-            for pi in space.cpi(*cfg.main):
-                steps = space.steps(cfg, pi)
-                branches[pi] = steps
-                for s in steps:
-                    if s.config not in seen:
-                        if len(seen) >= cap:
-                            raise _CapExceeded("config cap %d" % cap)
-                        seen.add(s.config)
-                        queue.append(s.config)
-            universe[cfg] = branches
+        # the root is walked whatever the cap
+        space.explore(root, universe, max(cap, 1), "config cap %d" % cap)
     except _CapExceeded as exc:
         return ConfigClosure(space, None, [], {}, set(), "exceeded: %s" % (exc.info,))
     # a configuration with no conjugator has one empty group and dies
@@ -208,18 +213,9 @@ def configurations(a: Element, b: Element, cap: int = 512) -> ConfigClosure:
     viable = {cfg for cfg in universe if cfg in alive}
     configs: list = []
     if root in viable:
-        configs = [root]
-        pos = 0
-        listed = {root}
-        while pos < len(configs):
-            cfg = configs[pos]
-            pos += 1
-            for pi, steps in universe[cfg].items():
-                if (cfg, pi) in alive:
-                    for s in steps:
-                        if s.config not in listed:
-                            listed.add(s.config)
-                            configs.append(s.config)
+        configs = breadth_first(root, lambda cfg: (
+            s.config for pi, steps in universe[cfg].items() if (cfg, pi) in alive for s in steps
+        ))
     return ConfigClosure(space, root, configs, universe, viable, "complete")
 
 
@@ -248,27 +244,11 @@ class FinSat:
         if cfg in self.univ or self.status != "complete":
             return
         try:
-            queue = [cfg]
-            added = []
-            while queue:
-                c = queue.pop(0)
-                if c in self.univ:
-                    continue
-                branches = {}
-                for pi in self.space.cpi(*c.main):
-                    steps = self.space.steps(c, pi)
-                    branches[pi] = steps
-                    for s in steps:
-                        if s.config not in self.univ and len(self.univ) + len(queue) > self.cap:
-                            raise _CapExceeded("finitary universe cap %d" % self.cap)
-                        queue.append(s.config)
-                self.univ[c] = branches
-                added.append(c)
+            added = self.space.explore(cfg, self.univ, self.cap, "finitary universe cap %d" % self.cap)
         except _CapExceeded as exc:
             self.status = "exceeded: %s" % (exc.info,)
             return
-        if added:
-            self._refix(added)
+        self._refix(added)
 
     def _refix(self, added):
         """Extend the fixpoint to the configurations just added.
@@ -476,46 +456,36 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
 
     # moving circuit: the conjugator equals its own section at a letter u
     # moved by c; the state at (u)c^t is then finitary and determines it
+    def moving(c, d, pi):
+        for orb in orbits(c.root_perm):
+            m = len(orb)
+            if m < 2:
+                continue
+            pc = [sys.power_sections(c.word, u) for u in orb]
+            pd = [sys.power_sections(d.word, pi[u]) for u in orb]
+            for pos in range(m):
+                for t in range(1, m):
+                    v = (pos + t) % m
+                    cfg_v = space.pair_config(space.key(pc[v][m]), space.key(pd[v][m]))
+                    if fin.satisfiable(cfg_v) is None:
+                        continue
+                    g_word = fin.witness_word(cfg_v)
+                    h_word = reduce_word(pc[pos][t] + g_word + invert_word(pd[pos][t]))
+                    h = Element(sys, h_word)
+                    if equal(multiply(multiply(inverse(h), c), h), d, budget) is True:
+                        return h_word
+        return None
+
     for i, j in pairs:
         if (0, 0) in dist:
             break
         if (i, j) in dist:
             continue
-        c, d = os_a.elements[i], os_b.elements[j]
-        found = None
         for pi in pair_cpi(i, j):
-            for orb in orbits(c.root_perm):
-                m = len(orb)
-                if m < 2:
-                    continue
-                for pos in range(m):
-                    u = orb[pos]
-                    for t in range(1, m):
-                        v = orb[(pos + t) % m]
-                        cfg_v = space.pair_config(
-                            space.key(_partial_power_section(sys, c.word, v, m)),
-                            space.key(_partial_power_section(sys, d.word, pi[v], m)),
-                        )
-                        if fin.satisfiable(cfg_v) is None:
-                            continue
-                        g_word = fin.witness_word(cfg_v)
-                        h_word = reduce_word(
-                            _partial_power_section(sys, c.word, u, t)
-                            + g_word
-                            + invert_word(_partial_power_section(sys, d.word, pi[u], t))
-                        )
-                        h = Element(sys, h_word)
-                        if equal(multiply(multiply(inverse(h), c), h), d, budget) is True:
-                            found = ("moving", h_word)
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
+            h_word = moving(os_a.elements[i], os_b.elements[j], pi)
+            if h_word is not None:
+                dist[(i, j)] = ("moving", h_word)
                 break
-        if found:
-            dist[(i, j)] = found
     if fin.status != "complete":
         return RestrictedDecision("unknown", certificate=fin.status)
 

@@ -2,8 +2,9 @@
 
 Exit codes: 0 for affirmative verdicts and successfully computed
 values, 1 for negative verdicts, 2 when a cap was hit or the answer is
-unknown, 3 for usage and input errors.  With --json a single report
-object is printed instead of the human-readable lines.
+unknown, 3 for usage and input errors, 4 for an internal error (a bug
+in arboreal, reported as "internal error: ...").  With --json a single
+report object is printed instead of the human-readable lines.
 """
 
 from __future__ import annotations
@@ -43,20 +44,30 @@ class _Usage(Exception):
 
 
 def _load(path: str) -> tuple[FRSystem, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise _Usage(str(exc)) from None
     return parse_system(text), hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _word(sys: FRSystem, text: str) -> Element:
-    return Element(sys, parse_word(text))
+    w = parse_word(text)
+    try:
+        return Element(sys, w)
+    except ValueError as exc:  # undefined symbol
+        raise _Usage(str(exc)) from None
 
 
 def _vertex(sys: FRSystem, text: str) -> tuple:
-    if "," in text:
-        letters = tuple(int(t) for t in text.split(","))
-    else:
-        letters = tuple(int(ch) for ch in text.strip())
+    try:
+        letters = tuple(int(t) for t in (text.split(",") if "," in text else text.strip()))
+    except ValueError as exc:
+        raise _Usage(str(exc)) from None
+    for x in letters:
+        if not 0 <= x < sys.degree:
+            raise _Usage("letter %r outside alphabet of degree %d" % (x, sys.degree))
     return letters
 
 
@@ -201,6 +212,8 @@ def _cmd_conjugate(args):
             raise _Usage("--simultaneous supports only --group aut")
         as_ = [_word(sys, t) for t in args.w1.split(",")]
         bs = [_word(sys, t) for t in args.w2.split(",")]
+        if len(as_) != len(bs):
+            raise _Usage("need equally many source and target elements")
         pairs = list(zip(as_, bs))
         dec = conjugate_in_aut_simultaneous(as_, bs, args.cap)
         reason, cls, synthesize = dec.reason, None, sim_basic_conjugator
@@ -265,6 +278,8 @@ def _cmd_oracle(args):
     if args.oracle == "trunc-order":
         n = truncated_order(_word(sys, args.w1), args.depth)
         return 0, str(n), {"order": n}, caps, []
+    if args.w3 is None:
+        raise _Usage("oracle verify needs three words")
     h, a, b = (_word(sys, w) for w in (args.w1, args.w2, args.w3))
     ok = verify_conjugator(h, a, b, args.depth)
     if ok:
@@ -371,9 +386,12 @@ def main(argv=None) -> int:
     except (DepthTooLarge, DegreeTooLarge) as exc:
         print("cap: %s" % exc, file=_sys.stderr)
         return 2
-    except (DslError, OSError, _Usage, NotBounded, ValueError) as exc:
+    except (DslError, OSError, _Usage, NotBounded) as exc:
         print("error: %s" % exc, file=_sys.stderr)
         return 3
+    except Exception as exc:
+        print("internal error: %s" % exc, file=_sys.stderr)
+        return 4
     if args.json:
         try:
             with open(args.file, "rb") as fh:

@@ -28,36 +28,19 @@ from .system import EMPTY, FRSystem, Word, format_system, invert_word, reduce_wo
 log = logging.getLogger("arboreal.conjugacy")
 
 
-def _partial_power_section(sys: FRSystem, w: Word, start: int, steps: int) -> Word:
-    """(w^steps)|_start as a word: the product of sections of w along the
-    orbit of start, never a naive power."""
-    out: list = []
-    y = start
-    p = sys.root_perm(w)
-    for _ in range(steps):
-        out.extend(sys.section(w, y))
-        y = p[y]
-    return reduce_word(tuple(out))
-
-
 def _fill_orbit(sys: FRSystem, sections: list, wc: Word, wd: Word, x: int, y: int, wit: Word) -> None:
     """Fill in the sections of a conjugator h from c to d along the orbit
     of x under c.
 
-    Given h|_x = wit and x^pi = y, every other letter of the orbit gets
-    h|_(x c^p) = (c^p|_x)^-1 * wit * d^p|_y; the power sections c^p|_x
-    and d^p|_y grow by one factor per step of one walk of the orbit.
+    Given h|_x = wit and x^pi = y, the orbit letter x c^t gets
+    h|_(x c^t) = (c^t|_x)^-1 * wit * d^t|_y, which is wit at t = 0.
     """
-    sections[x] = wit
-    pc, pd = sys.root_perm(wc), sys.root_perm(wd)
-    lhs: Word = EMPTY
-    rhs: Word = EMPTY
-    u, v = x, y
-    while pc[u] != x:
-        lhs = reduce_word(lhs + sys.section(wc, u))
-        rhs = reduce_word(rhs + sys.section(wd, v))
-        u, v = pc[u], pd[v]
-        sections[u] = reduce_word(invert_word(lhs) + wit + rhs)
+    pc = sys.root_perm(wc)
+    lhs, rhs = sys.power_sections(wc, x), sys.power_sections(wd, y)
+    u = x
+    for t in range(len(lhs) - 1):
+        sections[u] = reduce_word(invert_word(lhs[t]) + wit + rhs[t])
+        u = pc[u]
 
 
 # -- the pair graph ------------------------------------------------------------
@@ -423,14 +406,18 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> SimConjGraph:
         return graph
     graph.root_tuple = root_key
 
+    tk_options: dict = {}
+
     def tuple_options(tk):
-        opts = None
-        for ka, kb in tk:
-            cs = conjugators(intern.element(ka).root_perm, intern.element(kb).root_perm)
-            opts = list(cs) if opts is None else [p for p in opts if p in cs]
-            if not opts:
-                return ()
-        return tuple(opts)
+        if tk not in tk_options:
+            opts = None
+            for ka, kb in tk:
+                cs = conjugators(intern.element(ka).root_perm, intern.element(kb).root_perm)
+                opts = list(cs) if opts is None else [p for p in opts if p in cs]
+                if not opts:
+                    break
+            tk_options[tk] = tuple(opts)
+        return tk_options[tk]
 
     # discovery: vertex -> {orbit base letter: [successor vertices]};
     # payload per vertex edge built once, then pruned to fixpoint
@@ -564,7 +551,7 @@ def canonical_representative(a: Element, depth: int, max_leaves: int = MAX_LEAVE
             return ((0,),)
         blocks = []
         for orb in orbits(sys.root_perm(w)):
-            sub = rec(_partial_power_section(sys, w, orb[0], len(orb)), n - 1)
+            sub = rec(sys.power_sections(w, orb[0])[-1], n - 1)
             blocks.append((len(orb), sub))
         blocks.sort()
         maps = [(0,)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .perms import Perm, identity, is_identity
+from .perms import Perm, is_identity
 from .system import EMPTY, FRSystem, Word, format_word, invert_word, parse_word, reduce_word
 
 EQUALITY_BUDGET = 10**6
@@ -96,9 +96,6 @@ class Element:
             w = self.system.section(w, x)
         return Element(self.system, w)
 
-    def is_trivial_word(self) -> bool:
-        return not self.word
-
 
 def _same_system(g: Element, h: Element) -> FRSystem:
     if g.system is not h.system:
@@ -120,10 +117,7 @@ def inverse(g: Element) -> Element:
 
 def power(g: Element, n: int) -> Element:
     base = g.word if n >= 0 else invert_word(g.word)
-    out: Word = EMPTY
-    for _ in range(abs(n)):
-        out = reduce_word(out + base)
-    return Element(g.system, out)
+    return Element(g.system, base * abs(n))
 
 
 def act(g: Element, vertex) -> tuple[int, ...]:
@@ -163,12 +157,8 @@ def orbit_power_section(g: Element, letter: int) -> tuple[int, Element]:
     Computed as the product of sections along the orbit, never by
     raising g to the m-th power first.
     """
-    sys = g.system
-    orb = orbit(g, letter)
-    out: Word = EMPTY
-    for y in orb:
-        out = reduce_word(out + sys.section(g.word, y))
-    return len(orb), Element(sys, out)
+    powers = g.system.power_sections(g.word, letter)
+    return len(powers) - 1, Element(g.system, powers[-1])
 
 
 # -- the word problem --------------------------------------------------------

@@ -3,8 +3,10 @@ graphs, no recursion).
 
 `surviving` is the one survival fixpoint: the conjugator graphs, the
 simultaneous tuple graphs and the configuration closures all prune by
-it.  `strongly_connected_components` serves the order graphs and the
-circuit analysis of classification.
+it.  `breadth_first` walks the configuration closures, both while they
+are built and when their survivors are listed.
+`strongly_connected_components` serves the order graphs and the circuit
+analysis of classification.
 """
 
 from __future__ import annotations
@@ -30,6 +32,28 @@ def surviving(groups) -> set:
                     changed = True
                     break
     return alive
+
+
+def breadth_first(root, successors, limit=None) -> list | None:
+    """Nodes reachable from root, in breadth-first discovery order.
+
+    successors(v) is called once per node, in that order, and consumed
+    lazily: with a limit, the walk returns None as soon as it would hold
+    more than limit nodes (root included), and a generator passed as
+    successors runs no further than the node that passes the limit.
+    """
+    order = [root]
+    seen = {root}
+    pos = 0
+    while pos < len(order):
+        for s in successors(order[pos]):
+            if s not in seen:
+                if limit is not None and len(order) >= limit:
+                    return None
+                seen.add(s)
+                order.append(s)
+        pos += 1
+    return order
 
 
 def strongly_connected_components(n: int, successors) -> list[list[int]]:

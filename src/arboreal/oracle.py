@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .elements import Element, inverse, multiply
-from .perms import identity
+from .perms import identity, orbits
 from .system import EMPTY, FRSystem
 
 
@@ -81,24 +81,6 @@ def truncate(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> TruncatedAut:
     return TruncatedAut(g.system.degree, n, maps)
 
 
-def _cycles(perm):
-    """Cycles of a permutation given as an image list, least element first."""
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        y = perm[start]
-        while y != start:
-            seen[y] = True
-            cyc.append(y)
-            y = perm[y]
-        out.append(cyc)
-    return out
-
-
 def truncated_order(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> int:
     """Order of the induced permutation on level n; divides the true
     order whenever that is finite."""
@@ -106,7 +88,7 @@ def truncated_order(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> int:
     last = None
     for m in _level_maps(g, n):
         last = m
-    return lcm(*(len(c) for c in _cycles(last)))
+    return lcm(*(len(c) for c in orbits(last)))
 
 
 def orbit_tree_code(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> str:
@@ -117,7 +99,7 @@ def orbit_tree_code(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> str:
     d = g.system.degree
     per_level = []  # (orbit_id array, orbit count, sizes)
     for k in range(n + 1):
-        cycles = _cycles(t.level_maps[k])
+        cycles = orbits(t.level_maps[k])
         oid = [0] * (d**k)
         sizes = []
         for i, cyc in enumerate(cycles):

@@ -189,6 +189,19 @@ class FRSystem:
         self._sect[key] = res
         return res
 
+    def power_sections(self, w: Word, x: int) -> list[Word]:
+        """[w^t|_x for t = 0..m], m the length of the orbit of x under
+        the root permutation of w, in one walk of that orbit:
+        w^(t+1)|_x = w^t|_x * w|_(x w^t)."""
+        p = self.root_perm(w)
+        out = [EMPTY]
+        y = x
+        while True:
+            out.append(reduce_word(out[-1] + self.section(w, y)))
+            y = p[y]
+            if y == x:
+                return out
+
     def signature(self, w: Word, depth: int = 3) -> tuple:
         """Images of all words up to the given depth; a cheap invariant
         used to avoid bisimulation runs between obviously distinct words."""

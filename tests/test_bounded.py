@@ -280,3 +280,34 @@ def test_incremental_finitary_fixpoint_matches_a_full_sweep():
             assert (fin.depth, fin._pi) == from_scratch_depths(fin)
     # later batches reach depths that need rounds past their own changes
     assert late_deep >= 3
+
+
+
+def finsat_run(space, roots, cap):
+    fin = FinSat(space, cap=cap)
+    for root in roots:
+        fin.satisfiable(root)
+    return fin
+
+
+def test_finitary_universe_cap_counts_distinct_configurations():
+    # the cap bounds the distinct configurations of the universe: a cap
+    # equal to the universe a run walks keeps it complete, one less
+    # gives up and names the cap; the runs walk from the input pair
+    # alone, then from every orbit-power pair as well
+    for seed in range(40):
+        a, b = planted_pair(seed, 2, 4, 3)
+        space = ConfigSpace(a.system)
+        pairs = [
+            space.pair_config(space.key(c.word), space.key(d.word))
+            for c in orbit_signalizer(a, 512, letters="all").elements
+            for d in orbit_signalizer(b, 512, letters="all").elements
+        ]
+        for roots in ([space.root_config(a, b)], [space.root_config(a, b)] + pairs):
+            full = finsat_run(space, roots, 4096)
+            size = len(full.univ)
+            exact = finsat_run(space, roots, size)
+            assert exact.status == "complete"
+            assert (exact.univ, exact.depth) == (full.univ, full.depth)
+            short = finsat_run(space, roots, size - 1)
+            assert short.status == "exceeded: finitary universe cap %d" % (size - 1)

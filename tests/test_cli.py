@@ -233,3 +233,33 @@ def test_depth_cap_exits_two(fr, capsys):
     path = fr(ODOMETER)
     assert cli.main(["oracle", "trunc-order", path, "a", "--depth", "30"]) == 2
     capsys.readouterr()
+
+
+def test_input_errors_name_the_input(fr, capsys, tmp_path):
+    path = fr(ODOMETER)
+    cases = [
+        (["equal", path, "a*nosuch", "e"], "error: undefined symbol 'nosuch'\n"),
+        (["act", path, "a", "0x1"], "error: invalid literal for int() with base 10: 'x'\n"),
+        (["act", path, "a", "0,5"], "error: letter 5 outside alphabet of degree 2\n"),
+        (["conjugate", path, "a,a", "a", "--simultaneous"],
+         "error: need equally many source and target elements\n"),
+        (["oracle", "verify", path, "a", "a"], "error: oracle verify needs three words\n"),
+    ]
+    for argv, err in cases:
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == err
+    binary = tmp_path / "bad.fr"
+    binary.write_bytes(b"alphabet 2\n\xff\n")
+    assert cli.main(["parse", str(binary)]) == 3
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
+def test_internal_errors_exit_four(fr, capsys, monkeypatch):
+    path = fr(ODOMETER)
+
+    def broken(a, b, cap):
+        raise ValueError("decider bug")
+
+    monkeypatch.setattr(cli, "conjugate_in_aut", broken)
+    assert cli.main(["conjugate", path, "a", "a^-1"]) == 4
+    assert capsys.readouterr().err == "internal error: decider bug\n"

@@ -1,0 +1,32 @@
+"""Smoke run of scripts/identity_corpus.py on three pair seeds."""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "identity_corpus.py"
+
+
+def load():
+    spec = importlib.util.spec_from_file_location("identity_corpus", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_identity_corpus_prints_records_and_their_digest(capsys):
+    corpus = load()
+    assert corpus.main(["--deg2", "2", "--deg3", "1"]) == 0
+    *records, last = capsys.readouterr().out.splitlines()
+    kinds = [line.split(" | ")[0] for line in records]
+    assert [k for k in kinds if k.startswith("planted")] == [
+        "planted deg=2 seed=0", "planted deg=2 seed=1", "planted deg=3 seed=0"]
+    # every planted pair is conjugate in Aut, every negative is not
+    for line in records:
+        verdict = next(f for f in line.split(" | ") if f.startswith("aut "))
+        assert verdict.split()[1] == ("conjugate" if line.startswith("planted") else "not_conjugate")
+    digest = hashlib.sha256("".join(line + "\n" for line in records).encode()).hexdigest()
+    assert last == "sha256 " + digest
+    # a second run in the same process prints the same corpus
+    corpus.main(["--deg2", "2", "--deg3", "1"])
+    assert capsys.readouterr().out.splitlines()[-1] == last

@@ -130,3 +130,18 @@ def test_orbit_codes_survive_conjugation(seed, other):
     u = Element(sys, ((ren[next(iter(ren))], 1),))
     conj = multiply(multiply(inverse(u), g), u)
     assert orbit_tree_code(g, 5) == orbit_tree_code(conj, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=4))
+def test_power_sections_are_sections_of_powers(seed, degree, x):
+    sys = random_bounded(seed, 4, degree)
+    names = sys.symbols
+    g = Element(sys, ((names[-1], 1), (names[0], -1), (names[-1], 1)))
+    x %= degree
+    powers = sys.power_sections(g.word, x)
+    assert len(powers) == len(orbit(g, x)) + 1
+    for t, w in enumerate(powers):
+        assert w == sys.section(power(g, t).word, x)
+    m, fr = orbit_power_section(g, x)
+    assert (m, fr.word) == (len(powers) - 1, powers[-1])
