@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import orbit_signalizer, polynomial_degree
 from .conjugacy import _fill_orbit, _successor_map
@@ -40,10 +41,10 @@ class _CapExceeded(Exception):
         self.info = info
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Main orbit-power pair plus the deduplicated dependency pairs,
-    all as interner keys of one ConfigSpace."""
+    all as interner keys of one ConfigSpace.  A named tuple, so dict and
+    set probes hash it in C."""
 
     main: tuple
     dp: tuple

@@ -385,10 +385,7 @@ def nucleus(g, size_cap: int = 512, depth_cap: int = 12) -> NucleusReport:
     done: set[tuple[int, int]] = set()
     while True:
         keys = sorted(nset)
-        todo = [(u, v) for u in keys for v in keys if (u, v) not in done]
-        if not todo:
-            break
-        for u, v in todo:
+        for u, v in ((u, v) for u in keys for v in keys if (u, v) not in done):
             res = _explore_product(intern, nset, u, v, size_cap)
             if res[0] == "unknown":
                 return NucleusReport("unknown", reason=res[1])
@@ -407,4 +404,6 @@ def nucleus(g, size_cap: int = 512, depth_cap: int = 12) -> NucleusReport:
                     "unknown", reason="products not absorbed within depth %d" % depth_cap
                 )
             done.add((u, v))
+        else:
+            break
     return NucleusReport("contracting", elements=[intern.element(k) for k in sorted(nset)])

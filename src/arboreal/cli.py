@@ -43,6 +43,24 @@ class _Usage(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means inconclusive."""
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        self.exit(3, "%s: error: %s\n" % (self.prog, message))
+
+
+def _depth(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid depth %r" % text) from None
+    if n < 0:
+        raise argparse.ArgumentTypeError("depth must be at least 0, got %d" % n)
+    return n
+
+
 def _load(path: str) -> tuple[FRSystem, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -288,10 +306,10 @@ def _cmd_oracle(args):
 
 
 def _parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    p = argparse.ArgumentParser(prog="arboreal", description=__doc__)
+    p = _Parser(prog="arboreal", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("parse", parents=[common], help="parse a system and print it back")
@@ -352,7 +370,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("w2")
     sp.add_argument("--group", choices=["aut", "fsg", "pol-1", "pol0", "polinf"], default="aut")
     sp.add_argument("--emit-conjugator", action="store_true")
-    sp.add_argument("--verify-depth", type=int, default=10)
+    sp.add_argument("--verify-depth", type=_depth, default=10)
     sp.add_argument("--simultaneous", action="store_true",
                     help="w1 and w2 are comma-separated tuples conjugated entrywise by one element")
     sp.add_argument("--cap", type=int, default=512)
@@ -362,7 +380,7 @@ def _parser() -> argparse.ArgumentParser:
                         help="canonical conjugacy representative to a depth")
     sp.add_argument("file")
     sp.add_argument("word")
-    sp.add_argument("--depth", type=int, required=True)
+    sp.add_argument("--depth", type=_depth, required=True)
     sp.set_defaults(func=_cmd_representative)
 
     sp = sub.add_parser("oracle", parents=[common], help="depth-truncated ground truth")
@@ -371,7 +389,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("w1")
     sp.add_argument("w2", nargs="?")
     sp.add_argument("w3", nargs="?")
-    sp.add_argument("--depth", type=int, default=8)
+    sp.add_argument("--depth", type=_depth, default=8)
     sp.set_defaults(func=_cmd_oracle)
 
     return p

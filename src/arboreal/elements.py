@@ -2,9 +2,10 @@
 
 An Element never enumerates the tree: its action, sections and powers
 are evaluated lazily through the defining recursion of its system.
-Equality is the word problem and is decided by synchronized bisimulation
-with a budget; a successful decision is remembered, so repeated set
-membership tests cost one dictionary lookup.
+Equality is the word problem and is decided by a bisimulation over
+pairs of words, up to the equalities already known, with a budget; a
+decision is remembered, so repeated set membership tests cost one
+dictionary lookup.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .perms import Perm, is_identity
+from .perms import Perm
 from .system import EMPTY, FRSystem, Word, format_word, invert_word, parse_word, reduce_word
 
+# the number of section pairs one equality walk may merge
 EQUALITY_BUDGET = 10**6
 MINIMIZE_BUDGET = 10**5
 # words longer than this are not explored: systems that are not finite
@@ -164,35 +166,70 @@ def orbit_power_section(g: Element, letter: int) -> tuple[int, Element]:
 # -- the word problem --------------------------------------------------------
 
 
+def _bisimulate(sys: FRSystem, u: Word, v: Word, budget: int):
+    """Decide u == v for two different union-find representatives: True,
+    False or Exceeded.
+
+    A breadth-first walk over pairs of section words, up to equivalence
+    (Hopcroft and Karp): a pair is skipped when its two words are the
+    same, when the system already knows them equal, or when the pairs
+    merged so far already join them.  A pair whose root permutations
+    differ, or that the system knows to be different, answers False.
+    Every merged pair is assumed equal, which is sound because the walk
+    closes them under sections.  The budget counts merged pairs, the
+    first one included.
+    """
+    if len(u) > MAX_WORD_LENGTH or len(v) > MAX_WORD_LENGTH:
+        return Exceeded("word length", MAX_WORD_LENGTH)
+    root, section, find, eq = sys.root_perm, sys.section, sys.find, sys._eq
+    if root(u) != root(v):
+        return False
+    # run-local union-find: each merge points one class root at another
+    joined = {u: v}
+    merged = [(u, v)]
+    queue = deque(merged)
+    while queue:
+        s, t = queue.popleft()
+        for x in range(sys.degree):
+            a, b = find(section(s, x)), find(section(t, x))
+            if len(a) > MAX_WORD_LENGTH or len(b) > MAX_WORD_LENGTH:
+                return Exceeded("word length", MAX_WORD_LENGTH)
+            if a == b:
+                continue
+            known = eq.get((a, b) if a <= b else (b, a))
+            if known is False:
+                return False
+            if known:
+                continue
+            ra, rb = a, b
+            while ra in joined:
+                ra = joined[ra]
+            while rb in joined:
+                rb = joined[rb]
+            if ra == rb:
+                continue
+            if root(a) != root(b):
+                return False
+            if len(merged) >= budget:
+                return Exceeded("bisimulation pairs", budget)
+            joined[ra] = rb
+            merged.append((a, b))
+            queue.append((a, b))
+    # a*b^-1 is trivial for each merged pair: these are the words a walk
+    # of the quotient u*v^-1 visits, up to the representatives it picks,
+    # and the union-find learns them as it would from that walk
+    sys.union(u, v)
+    for a, b in merged:
+        sys.union(reduce_word(a + invert_word(b)), EMPTY)
+    return True
+
+
 def is_trivial(g: Element, budget: int = EQUALITY_BUDGET):
-    """True / False / Exceeded.  Bisimulation against the trivial element:
-    a word is trivial iff its root permutation is the identity and all of
-    its sections are trivial; visited words are assumed trivial, which is
-    sound because the visited set is section-closed."""
+    """True / False / Exceeded: the walk of _bisimulate against the
+    trivial word."""
     sys = g.system
     w = sys.find(g.word)
-    if not w:
-        return True
-    if len(w) > MAX_WORD_LENGTH:
-        return Exceeded("word length", MAX_WORD_LENGTH)
-    queue = deque([w])
-    seen = {w}
-    while queue:
-        u = queue.popleft()
-        if not is_identity(sys.root_perm(u)):
-            return False
-        for x in range(sys.degree):
-            s = sys.find(sys.section(u, x))
-            if len(s) > MAX_WORD_LENGTH:
-                return Exceeded("word length", MAX_WORD_LENGTH)
-            if s and s not in seen:
-                if len(seen) >= budget:
-                    return Exceeded("visited words", budget)
-                seen.add(s)
-                queue.append(s)
-    for u in seen:
-        sys.union(u, EMPTY)
-    return True
+    return True if not w else _bisimulate(sys, w, EMPTY, budget)
 
 
 def equal(g: Element, h: Element, budget: int = EQUALITY_BUDGET):
@@ -208,9 +245,7 @@ def equal(g: Element, h: Element, budget: int = EQUALITY_BUDGET):
     if sys.signature(u) != sys.signature(v):
         sys._eq[key] = False
         return False
-    res = is_trivial(Element(sys, reduce_word(u + invert_word(v))), budget)
-    if res is True:
-        sys.union(u, v)
+    res = _bisimulate(sys, u, v, budget)
     if isinstance(res, bool):
         sys._eq[key] = res
     return res
@@ -243,8 +278,9 @@ class Interner:
         if len(root) > MAX_WORD_LENGTH:
             return Exceeded("word length", MAX_WORD_LENGTH), None
         sig = sys.signature(root)
+        g = Element(sys, root)
         for k in self._buckets.get(sig, ()):
-            res = equal(self.elements[k], Element(sys, root), self.budget)
+            res = equal(self.elements[k], g, self.budget)
             if res is True:
                 self._by_root[sys.find(root)] = k
                 return k, sig

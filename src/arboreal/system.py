@@ -228,10 +228,12 @@ class FRSystem:
 
     def find(self, w: Word) -> Word:
         parent = self._parent
-        root = w
-        while parent.get(root, root) != root:
+        root = parent.get(w)
+        if root is None:  # most words are their own representative
+            return w
+        while root in parent:
             root = parent[root]
-        while parent.get(w, w) != w:
+        while w != root:
             parent[w], w = root, parent[w]
         return root
 

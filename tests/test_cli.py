@@ -223,6 +223,42 @@ def test_usage_errors_exit_three(fr, capsys):
     capsys.readouterr()
 
 
+def test_parser_errors_exit_three_and_help_exits_zero(fr, capsys):
+    path = fr(ODOMETER)
+    for argv, err in [
+        (["conjugate", path, "a"], "the following arguments are required: w2"),
+        (["order", path, "a", "--cap", "x"], "argument --cap: invalid int value: 'x'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 3
+        assert capsys.readouterr().err.endswith("error: %s\n" % err)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["representative", "a", "--depth", "-1"],
+    ["oracle", "orbit-tree", "a", "--depth", "-1"],
+    ["oracle", "trunc-order", "a", "--depth", "-1"],
+    ["oracle", "verify", "e", "a", "a", "--depth", "-1"],
+    ["conjugate", "a", "a^-1", "--verify-depth", "-1"],
+])
+def test_negative_depths_are_usage_errors(fr, capsys, argv):
+    path = fr(ODOMETER)
+    at = 2 if argv[0] == "oracle" else 1
+    argv = argv[:at] + [path] + argv[at:]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 3
+    assert capsys.readouterr().err.endswith("depth must be at least 0, got -1\n")
+    # depth 0 is a depth
+    assert cli.main([t if t != "-1" else "0" for t in argv]) == 0
+    capsys.readouterr()
+
+
 def test_unbounded_restricted_input_exits_three(fr, capsys):
     path = fr(ZOO)
     assert cli.main(["conjugate", path, "l", "l", "--group", "pol0"]) == 3

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from arboreal import (
     Element,
+    Exceeded,
     act,
     equal,
     inverse,
@@ -13,13 +14,14 @@ from arboreal import (
     orbit,
     orbit_power_section,
     orbit_tree_code,
+    parse_system,
     power,
     random_bounded,
     section,
     truncated_order,
 )
 from arboreal.perms import inverse as perm_inverse
-from arboreal.system import invert_word, merge_into
+from arboreal.system import invert_word, merge_into, rename_word
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 letters = st.integers(min_value=0, max_value=1)
@@ -145,3 +147,60 @@ def test_power_sections_are_sections_of_powers(seed, degree, x):
         assert w == sys.section(power(g, t).word, x)
     m, fr = orbit_power_section(g, x)
     assert (m, fr.word) == (len(powers) - 1, powers[-1])
+
+
+def _spelled_twice(seed: int, degree: int):
+    """random_bounded(seed) merged into a copy of itself: every word over
+    the first copy has a second spelling over the renamed one."""
+    base = random_bounded(seed, 4, degree)
+    sys = random_bounded(seed, 4, degree)
+    return sys, base.symbols, merge_into(sys, base)
+
+
+picks = st.lists(st.tuples(st.integers(min_value=0, max_value=50), st.sampled_from((1, -1))), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(min_value=2, max_value=4), picks, picks)
+def test_pair_bisimulation_agrees_with_triviality_of_the_quotient(seed, degree, p, q):
+    by_pairs, names, ren = _spelled_twice(seed, degree)
+    by_quotient, _, _ = _spelled_twice(seed, degree)
+    tiny, _, _ = _spelled_twice(seed, degree)
+    u = by_pairs.check_word(tuple((names[i % len(names)], x) for i, x in p))
+    v = by_pairs.check_word(tuple((names[i % len(names)], x) for i, x in q))
+    uv = u + v
+    pairs = [
+        (u, rename_word(u, ren)),
+        (u, v),
+        (u, rename_word(v, ren)),
+        (invert_word(uv), rename_word(invert_word(v) + invert_word(u), ren)),
+        (uv, rename_word(v + u, ren)),
+    ]
+    for g, h in pairs:
+        verdict = equal(Element(by_pairs, g), Element(by_pairs, h))
+        assert verdict is is_trivial(Element(by_quotient, g + invert_word(h)))
+        # a budget of one pair either decides the same or gives up
+        small = equal(Element(tiny, g), Element(tiny, h), 1)
+        assert small is verdict or isinstance(small, Exceeded)
+    assert equal(Element(by_pairs, u), Element(by_pairs, rename_word(u, ren))) is True
+
+
+def test_equality_budget_counts_bisimulation_pairs():
+    sys = parse_system("alphabet 2\na = (e, a) [1 0]\nb = (e, b) [1 0]\n")
+    aa, bb = Element.parse(sys, "a*a"), Element.parse(sys, "b*b")
+    # (a*a, b*b) sections to (a, b) at both letters: two pairs in all
+    res = equal(aa, bb, 1)
+    assert isinstance(res, Exceeded) and res.budget == 1
+    assert equal(aa, bb, 2) is True
+    # once proven, the pair is joined and no walk is needed
+    assert equal(aa, bb, 1) is True
+
+
+def test_equal_remembers_the_quotients_it_proves_trivial():
+    # t is trivial; proving a == b merges the pairs (a, b), (e, t) and
+    # (a, a*t), so b is represented by a and each a*b^-1 by e
+    sys = parse_system("alphabet 2\na = (e, a) [1 0]\nb = (t, a*t) [1 0]\nt = (e, t)\n")
+    assert equal(Element.parse(sys, "a"), Element.parse(sys, "b")) is True
+    assert sys.find(Element.parse(sys, "b").word) == Element.parse(sys, "a").word
+    for w in ("a*b^-1", "t^-1", "a*t^-1*a^-1"):
+        assert sys.find(Element.parse(sys, w).word) == ()
