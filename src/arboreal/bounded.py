@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .classify import orbit_signalizer, polynomial_degree
 from .conjugacy import _fill_orbit, _successor_map
-from .elements import EQUALITY_BUDGET, Element, Exceeded, Interner, _same_system, equal, inverse, multiply
+from .elements import EQUALITY_BUDGET, Element, Exceeded, Interner, _equal_words, _same_system
 from .graphs import breadth_first, surviving
 from .perms import Perm, compose, conjugators, is_identity, inverse as perm_inverse, orbits
 from .system import EMPTY, FRSystem, Word, format_word, invert_word, reduce_word
@@ -77,16 +77,16 @@ class ConfigSpace:
         self._succ: dict = {}
 
     def key(self, w: Word) -> int:
-        k = self.interner.key(Element(self.system, w))
+        k = self.interner.key(w)
         if isinstance(k, Exceeded):
             raise _CapExceeded(k)
         return k
 
     def word(self, k: int) -> Word:
-        return self.interner.elements[k].word
+        return self.interner.words[k]
 
     def root_perm(self, k: int) -> Perm:
-        return self.interner.elements[k].root_perm
+        return self.system.root_perm(self.interner.words[k])
 
     def cpi(self, ka: int, kb: int) -> tuple:
         if (ka, kb) not in self._cpi:
@@ -218,6 +218,11 @@ def configurations(a: Element, b: Element, cap: int = 512) -> ConfigClosure:
             s.config for pi, steps in universe[cfg].items() if (cfg, pi) in alive for s in steps
         ))
     return ConfigClosure(space, root, configs, universe, viable, "complete")
+
+
+def _conjugates(sys: FRSystem, h: Word, a: Word, b: Word, budget: int):
+    """Check h^-1 * a * h == b: True / False / Exceeded."""
+    return _equal_words(sys, reduce_word(invert_word(h) + a + h), b, budget)
 
 
 # -- finitary conjugators --------------------------------------------------------
@@ -379,8 +384,7 @@ def conjugate_in_pol_minus1(a: Element, b: Element, cap: int = 512,
             % (n_sat, len(closure.configs)),
         )
     h = report.witness
-    check = equal(multiply(multiply(inverse(h), a), h), b, budget)
-    if check is not True:
+    if _conjugates(h.system, h.word, a.word, b.word, budget) is not True:
         log.error("finitary witness failed verification for (%s, %s)", a, b)
         return RestrictedDecision("unknown", certificate="witness verification failed")
     return RestrictedDecision(
@@ -457,13 +461,13 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
 
     # moving circuit: the conjugator equals its own section at a letter u
     # moved by c; the state at (u)c^t is then finitary and determines it
-    def moving(c, d, pi):
-        for orb in orbits(c.root_perm):
+    def moving(wc, wd, pi):
+        for orb in orbits(sys.root_perm(wc)):
             m = len(orb)
             if m < 2:
                 continue
-            pc = [sys.power_sections(c.word, u) for u in orb]
-            pd = [sys.power_sections(d.word, pi[u]) for u in orb]
+            pc = [sys.power_sections(wc, u) for u in orb]
+            pd = [sys.power_sections(wd, pi[u]) for u in orb]
             for pos in range(m):
                 for t in range(1, m):
                     v = (pos + t) % m
@@ -472,8 +476,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
                         continue
                     g_word = fin.witness_word(cfg_v)
                     h_word = reduce_word(pc[pos][t] + g_word + invert_word(pd[pos][t]))
-                    h = Element(sys, h_word)
-                    if equal(multiply(multiply(inverse(h), c), h), d, budget) is True:
+                    if _conjugates(sys, h_word, wc, wd, budget) is True:
                         return h_word
         return None
 
@@ -483,7 +486,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
         if (i, j) in dist:
             continue
         for pi in pair_cpi(i, j):
-            h_word = moving(os_a.elements[i], os_b.elements[j], pi)
+            h_word = moving(os_a.elements[i].word, os_b.elements[j].word, pi)
             if h_word is not None:
                 dist[(i, j)] = ("moving", h_word)
                 break
@@ -648,7 +651,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
 
     h = Element(sys, synth((0, 0)))
     sys.validate()
-    check = equal(multiply(multiply(inverse(h), a), h), b, budget)
+    check = _conjugates(sys, h.word, a.word, b.word, budget)
     if check is not True:
         log.error("bounded witness failed verification for (%s, %s): %r", a, b, check)
         return RestrictedDecision("unknown", certificate="witness verification failed")

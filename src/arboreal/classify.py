@@ -12,17 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import (
-    Element,
-    Exceeded,
-    Interner,
-    inverse,
-    minimize,
-    multiply,
-    orbit,
-    orbit_power_section,
-)
+from .elements import Element, Exceeded, Interner, _same_system, minimize
 from .graphs import strongly_connected_components
+from .perms import orbits
+from .system import EMPTY, invert_word, reduce_word
 
 
 class _Sentinel:
@@ -231,7 +224,7 @@ class OrbitSignalizer:
 
     def index_of(self, h: Element):
         """Index of an element semantically present in the closure, else None."""
-        k = self.interner.lookup(h)
+        k = self.interner.lookup(h.word)
         if isinstance(k, int) and k < len(self.elements):
             return k
         return None
@@ -247,33 +240,28 @@ def orbit_signalizer(g: Element, cap: int = 512, letters: str = "least") -> Orbi
     """
     if letters not in ("least", "all"):
         raise ValueError("letters must be 'least' or 'all'")
-    intern = Interner(g.system)
-    k0 = intern.key(g)
-    if isinstance(k0, Exceeded):
+    sys = g.system
+    intern = Interner(sys)
+    if isinstance(intern.key(g.word), Exceeded):
         return OrbitSignalizer([g], [], "exceeded", intern)
     edges = []
-    status = "complete"
+
+    def closure(status):
+        return OrbitSignalizer([Element._of(sys, w) for w in intern.words], edges, status, intern)
+
     pos = 0
-    while pos < len(intern.elements):
-        src = intern.element(pos)
-        done = [False] * g.system.degree
-        for x in range(g.system.degree):
-            if done[x]:
-                continue
-            orb = orbit(src, x)
-            for y in orb:
-                done[y] = True
-            anchors = orb if letters == "all" else orb[:1]
-            for y in anchors:
-                m, tgt = orbit_power_section(src, y)
-                k = intern.key(tgt)
+    while pos < len(intern):
+        w = intern.words[pos]
+        for orb in orbits(sys.root_perm(w)):
+            for y in orb if letters == "all" else orb[:1]:
+                k = intern.key(sys.power_sections(w, y)[-1])
                 if isinstance(k, Exceeded):
-                    return OrbitSignalizer(list(intern.elements), edges, "exceeded", intern)
-                edges.append((pos, m, k, y))
-            if len(intern.elements) > cap:
-                return OrbitSignalizer(list(intern.elements), edges, "exceeded", intern)
+                    return closure("exceeded")
+                edges.append((pos, len(orb), k, y))
+            if len(intern) > cap:
+                return closure("exceeded")
         pos += 1
-    return OrbitSignalizer(list(intern.elements), edges, status, intern)
+    return closure("complete")
 
 
 # -- nucleus ------------------------------------------------------------------
@@ -290,9 +278,11 @@ class NucleusReport:
         return self.tag == "contracting"
 
 
-def _section_closure(intern, nset, elem, size_cap):
-    """Add the semantic state closure of elem to nset; False on cap/budget."""
-    k = intern.key(elem)
+def _section_closure(intern, nset, w, size_cap):
+    """Add the semantic state closure of the word w to nset; False on
+    cap/budget."""
+    sys = intern.system
+    k = intern.key(w)
     if isinstance(k, Exceeded):
         return False
     queue = [k]
@@ -303,9 +293,9 @@ def _section_closure(intern, nset, elem, size_cap):
         if len(nset) >= size_cap:
             return False
         nset.add(k)
-        cur = intern.element(k)
-        for x in range(cur.system.degree):
-            kk = intern.key(cur.section(x))
+        cur = intern.words[k]
+        for x in range(sys.degree):
+            kk = intern.key(sys.section(cur, x))
             if isinstance(kk, Exceeded):
                 return False
             if kk not in nset:
@@ -314,11 +304,12 @@ def _section_closure(intern, nset, elem, size_cap):
 
 
 def _explore_product(intern, nset, u, v, node_cap):
-    """Section graph of element(u)*element(v), pruned at nset.
+    """Section graph of words[u]*words[v], pruned at nset.
 
     Returns ("ok", depth), ("recurrent", keys) for keys on cycles, or
     ("unknown", reason)."""
-    k = intern.key(multiply(intern.element(u), intern.element(v)))
+    sys = intern.system
+    k = intern.key(reduce_word(intern.words[u] + intern.words[v]))
     if isinstance(k, Exceeded):
         return ("unknown", "equality budget exceeded")
     if k in nset:
@@ -328,10 +319,10 @@ def _explore_product(intern, nset, u, v, node_cap):
     succs: list[list[int]] = []
     pos = 0
     while pos < len(nodes):
-        cur = intern.element(nodes[pos])
+        cur = intern.words[nodes[pos]]
         row = []
-        for x in range(cur.system.degree):
-            kk = intern.key(cur.section(x))
+        for x in range(sys.degree):
+            kk = intern.key(sys.section(cur, x))
             if isinstance(kk, Exceeded):
                 return ("unknown", "equality budget exceeded")
             if kk in nset:
@@ -373,12 +364,14 @@ def nucleus(g, size_cap: int = 512, depth_cap: int = 12) -> NucleusReport:
     if not gens:
         raise ValueError("need at least one generator")
     sys = gens[0].system
+    for gen in gens:
+        _same_system(gens[0], gen)
     intern = Interner(sys)
     nset: set[int] = set()
-    seeds = [Element.trivial(sys)]
+    seeds = [EMPTY]
     for gen in gens:
-        seeds.append(gen)
-        seeds.append(inverse(gen))
+        seeds.append(gen.word)
+        seeds.append(invert_word(gen.word))
     for s in seeds:
         if not _section_closure(intern, nset, s, size_cap):
             return NucleusReport("unknown", reason="size cap %d exceeded" % size_cap)
@@ -393,9 +386,9 @@ def nucleus(g, size_cap: int = 512, depth_cap: int = 12) -> NucleusReport:
                 # the recurrent states never fall into the current set, so
                 # they belong to it; restart the pair sweep with them added
                 for r in res[1]:
-                    rel = intern.element(r)
+                    rel = intern.words[r]
                     if not _section_closure(intern, nset, rel, size_cap) or not _section_closure(
-                        intern, nset, inverse(rel), size_cap
+                        intern, nset, invert_word(rel), size_cap
                     ):
                         return NucleusReport("unknown", reason="size cap %d exceeded" % size_cap)
                 break
@@ -406,4 +399,4 @@ def nucleus(g, size_cap: int = 512, depth_cap: int = 12) -> NucleusReport:
             done.add((u, v))
         else:
             break
-    return NucleusReport("contracting", elements=[intern.element(k) for k in sorted(nset)])
+    return NucleusReport("contracting", elements=[Element._of(sys, intern.words[k]) for k in sorted(nset)])

@@ -391,8 +391,8 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> SimConjGraph:
         keys = []
         seen = set()
         for wa, wb in pairs:
-            ka = intern.key(Element(sys, wa))
-            kb = intern.key(Element(sys, wb))
+            ka = intern.key(wa)
+            kb = intern.key(wb)
             if isinstance(ka, Exceeded) or isinstance(kb, Exceeded):
                 return None
             if (ka, kb) not in seen:
@@ -412,7 +412,7 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> SimConjGraph:
         if tk not in tk_options:
             opts = None
             for ka, kb in tk:
-                cs = conjugators(intern.element(ka).root_perm, intern.element(kb).root_perm)
+                cs = conjugators(sys.root_perm(intern.words[ka]), sys.root_perm(intern.words[kb]))
                 opts = list(cs) if opts is None else [p for p in opts if p in cs]
                 if not opts:
                     break
@@ -429,8 +429,8 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> SimConjGraph:
         v = candidates[pos]
         pos += 1
         tk, pi = v
-        a_words = [intern.element(ka).word for ka, _ in tk]
-        b_words = [intern.element(kb).word for _, kb in tk]
+        a_words = [intern.words[ka] for ka, _ in tk]
+        b_words = [intern.words[kb] for _, kb in tk]
         perms_a = [sys.root_perm(w) for w in a_words]
         edges = {}
         for orbit_info in _joint_orbits(perms_a, sys.degree):
@@ -485,7 +485,10 @@ def sim_basic_conjugator(graph: SimConjGraph, policy="least") -> ConjugatorFR:
     order: list = []
 
     def fix(tk):
-        assign[tk] = choose(tk, alive_pi[tk])
+        pi = choose(tk, alive_pi[tk])
+        if pi not in alive_pi[tk]:
+            raise ValueError("policy chose a pruned permutation %r for tuple %r" % (pi, tk))
+        assign[tk] = pi
         order.append(tk)
 
     fix(graph.root_tuple)
@@ -495,16 +498,13 @@ def sim_basic_conjugator(graph: SimConjGraph, policy="least") -> ConjugatorFR:
         tk = order[pos]
         pos += 1
         pi = assign[tk]
-        a_words = [intern.element(ka).word for ka, _ in tk]
-        b_words = [intern.element(kb).word for _, kb in tk]
+        a_words = [intern.words[ka] for ka, _ in tk]
+        b_words = [intern.words[kb] for _, kb in tk]
         perms_a = [sys.root_perm(w) for w in a_words]
         plan = []
         for orbit_info in _joint_orbits(perms_a, sys.degree):
-            pairs = _schreier_pairs(sys, a_words, b_words, perms_a, orbit_info, pi)
-            tk2 = tuple(
-                (intern.key(Element(sys, wa)), intern.key(Element(sys, wb))) for wa, wb in pairs
-            )
-            tk2 = tuple(dict.fromkeys(tk2))
+            # a surviving vertex keeps a successor at every orbit
+            tk2 = graph.edges[(tk, pi)][orbit_info[0]][0][0]
             if tk2 not in assign:
                 fix(tk2)
             plan.append((orbit_info, tk2, a_words, b_words))

@@ -45,42 +45,35 @@ def order_graph_dot(graph: OrbitSignalizer) -> str:
     return _render("order_graph", nodes, edges)
 
 
-def conj_graph_dot(graph: ConjGraph) -> str:
+def _graph_dot(name: str, graph, label) -> str:
+    """A conjugator graph: one node per vertex, labelled by label(v),
+    one edge per orbit letter and surviving successor, roots doubled."""
     ids = {v: "n%d" % i for i, v in enumerate(graph.vertices)}
-    nodes = []
-    for v in graph.vertices:
-        i, j, pi = v
-        label = "(%s, %s, %s)" % (
-            format_word(graph.os_a.elements[i].word),
-            format_word(graph.os_b.elements[j].word),
-            format_perm(pi),
-        )
-        nodes.append((ids[v], label))
-    edges = []
-    for v in graph.vertices:
-        for letter, targets in sorted(graph.edges.get(v, {}).items()):
-            for w in targets:
-                edges.append((ids[v], ids[w], str(letter)))
-    return _render("conjugator_graph", nodes, edges, doubled=[ids[r] for r in graph.roots])
+    nodes = [(ids[v], label(v)) for v in graph.vertices]
+    edges = [
+        (ids[v], ids[w], str(letter))
+        for v in graph.vertices
+        for letter, targets in sorted(graph.edges.get(v, {}).items())
+        for w in targets
+    ]
+    return _render(name, nodes, edges, doubled=[ids[r] for r in graph.roots])
+
+
+def conj_graph_dot(graph: ConjGraph) -> str:
+    a, b = graph.os_a.elements, graph.os_b.elements
+    return _graph_dot("conjugator_graph", graph, lambda v: "(%s, %s, %s)" % (
+        format_word(a[v[0]].word), format_word(b[v[1]].word), format_perm(v[2])))
 
 
 def sim_graph_dot(graph: SimConjGraph) -> str:
-    ids = {v: "n%d" % i for i, v in enumerate(graph.vertices)}
-    nodes = []
-    for v in graph.vertices:
+    words = graph.interner.words
+
+    def label(v):
         key, pi = v
-        pairs = ", ".join(
-            "(%s, %s)" % (format_word(graph.interner.element(ka).word),
-                          format_word(graph.interner.element(kb).word))
-            for ka, kb in key
-        )
-        nodes.append((ids[v], "[%s] %s" % (pairs, format_perm(pi))))
-    edges = []
-    for v in graph.vertices:
-        for letter, targets in sorted(graph.edges.get(v, {}).items()):
-            for w in targets:
-                edges.append((ids[v], ids[w], str(letter)))
-    return _render("simultaneous_conjugator_graph", nodes, edges, doubled=[ids[r] for r in graph.roots])
+        pairs = ", ".join("(%s, %s)" % (format_word(words[ka]), format_word(words[kb])) for ka, kb in key)
+        return "[%s] %s" % (pairs, format_perm(pi))
+
+    return _graph_dot("simultaneous_conjugator_graph", graph, label)
 
 
 def emit_dot(graph) -> str:

@@ -59,6 +59,14 @@ class Element:
     def symbol(system: FRSystem, name: str) -> "Element":
         return Element(system, ((name, 1),))
 
+    @staticmethod
+    def _of(system: FRSystem, word: Word) -> "Element":
+        """Element of a word already reduced over defined symbols, which
+        is not checked again."""
+        g = object.__new__(Element)
+        g.system, g.word = system, word
+        return g
+
     # -- basic protocol ---------------------------------------------------
 
     def __repr__(self):
@@ -224,18 +232,21 @@ def _bisimulate(sys: FRSystem, u: Word, v: Word, budget: int):
     return True
 
 
-def is_trivial(g: Element, budget: int = EQUALITY_BUDGET):
-    """True / False / Exceeded: the walk of _bisimulate against the
-    trivial word."""
-    sys = g.system
-    w = sys.find(g.word)
+def _trivial_word(sys: FRSystem, w: Word, budget: int):
+    w = sys.find(w)
     return True if not w else _bisimulate(sys, w, EMPTY, budget)
 
 
-def equal(g: Element, h: Element, budget: int = EQUALITY_BUDGET):
-    """Decide g == h as tree automorphisms.  True / False / Exceeded."""
-    sys = _same_system(g, h)
-    u, v = sys.find(g.word), sys.find(h.word)
+def is_trivial(g: Element, budget: int = EQUALITY_BUDGET):
+    """True / False / Exceeded: the walk of _bisimulate against the
+    trivial word."""
+    return _trivial_word(g.system, g.word, budget)
+
+
+def _equal_words(sys: FRSystem, u: Word, v: Word, budget: int):
+    """Decide u == v for two reduced words: the union-find, the cache of
+    decided pairs and the signature first, then _bisimulate."""
+    u, v = sys.find(u), sys.find(v)
     if u == v:
         return True
     key = (u, v) if u <= v else (v, u)
@@ -251,36 +262,41 @@ def equal(g: Element, h: Element, budget: int = EQUALITY_BUDGET):
     return res
 
 
-class Interner:
-    """Assigns stable integer keys to words by semantic equality.
+def equal(g: Element, h: Element, budget: int = EQUALITY_BUDGET):
+    """Decide g == h as tree automorphisms.  True / False / Exceeded."""
+    return _equal_words(_same_system(g, h), g.word, h.word, budget)
 
-    Keys are handed out in first-seen order.  Lookup first tries the
-    union-find representative, then the depth-3 signature bucket, and
-    only runs bisimulations against candidates sharing the signature.
+
+class Interner:
+    """Assigns stable integer keys to reduced words by semantic equality.
+
+    Keys are handed out in first-seen order; words[k] is the union-find
+    representative the key was created for.  Lookup first tries the
+    representative, then the depth-3 signature bucket, and only runs
+    bisimulations against candidates sharing the signature.
     """
 
     def __init__(self, system: FRSystem, budget: int = EQUALITY_BUDGET):
         self.system = system
         self.budget = budget
-        self.elements: list[Element] = []
+        self.words: list[Word] = []
         self._by_root: dict[Word, int] = {}
         self._buckets: dict[tuple, list[int]] = {}
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.words)
 
     def _probe(self, root: Word):
         """(key, signature) for a union-find representative word that is
-        not a known root: key is that of an interned element equal to it,
+        not a known root: key is that of an interned word equal to it,
         None when there is none, or Exceeded; signature is None when the
         word is too long to probe."""
         sys = self.system
         if len(root) > MAX_WORD_LENGTH:
             return Exceeded("word length", MAX_WORD_LENGTH), None
         sig = sys.signature(root)
-        g = Element(sys, root)
         for k in self._buckets.get(sig, ()):
-            res = equal(self.elements[k], g, self.budget)
+            res = _equal_words(sys, self.words[k], root, self.budget)
             if res is True:
                 self._by_root[sys.find(root)] = k
                 return k, sig
@@ -288,28 +304,27 @@ class Interner:
                 return res, sig
         return None, sig
 
-    def key(self, g: Element):
-        """Key of g, or Exceeded when an equality run blows the budget."""
-        root = self.system.find(g.word)
+    def key(self, w: Word):
+        """Key of the reduced word w, or Exceeded when an equality run
+        blows the budget."""
+        root = self.system.find(w)
         hit = self._by_root.get(root)
         if hit is None:
             hit, sig = self._probe(root)
         if hit is not None:
             return hit
-        k = len(self.elements)
-        self.elements.append(Element(self.system, root))
+        k = len(self.words)
+        self.words.append(root)
         self._buckets.setdefault(sig, []).append(k)
         self._by_root[root] = k
         return k
 
-    def lookup(self, g: Element):
-        """Key of g if semantically present, else None; never inserts."""
-        root = self.system.find(g.word)
+    def lookup(self, w: Word):
+        """Key of the reduced word w if semantically present, else None;
+        never inserts."""
+        root = self.system.find(w)
         hit = self._by_root.get(root)
         return hit if hit is not None else self._probe(root)[0]
-
-    def element(self, k: int) -> Element:
-        return self.elements[k]
 
 
 # -- finite-state machines ----------------------------------------------------
@@ -368,7 +383,7 @@ def minimize(g: Element, budget: int = MINIMIZE_BUDGET):
     """
     sys = g.system
     interner = Interner(sys)
-    start = interner.key(g)
+    start = interner.key(g.word)
     if isinstance(start, Exceeded):
         return start
     order = [start]
@@ -376,10 +391,10 @@ def minimize(g: Element, budget: int = MINIMIZE_BUDGET):
     transitions: list[list[int]] = []
     pos = 0
     while pos < len(order):
-        cur = interner.element(order[pos])
+        cur = interner.words[order[pos]]
         row = []
         for x in range(sys.degree):
-            k = interner.key(cur.section(x))
+            k = interner.key(sys.section(cur, x))
             if isinstance(k, Exceeded):
                 return k
             if k not in index:
@@ -390,13 +405,9 @@ def minimize(g: Element, budget: int = MINIMIZE_BUDGET):
             row.append(index[k])
         transitions.append(row)
         pos += 1
-    outputs = tuple(interner.element(k).root_perm for k in order)
-    trivial = None
-    for i, k in enumerate(order):
-        res = is_trivial(interner.element(k))
-        if res is True:
-            trivial = i
-            break
+    words = [interner.words[k] for k in order]
+    outputs = tuple(sys.root_perm(w) for w in words)
+    trivial = next((i for i, w in enumerate(words) if _trivial_word(sys, w, EQUALITY_BUDGET) is True), None)
     return Machine(
         degree=sys.degree,
         transitions=tuple(tuple(r) for r in transitions),

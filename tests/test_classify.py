@@ -1,5 +1,7 @@
 """Activity growth, boundedness, orbit-power closures, and the nucleus."""
 
+import pytest
+
 from arboreal import (
     NOT_CIRCUIT,
     NOT_FINITARY,
@@ -17,7 +19,7 @@ from arboreal import (
 )
 from arboreal.system import parse_system
 
-from conftest import BRANCH, ZOO, one
+from conftest import BRANCH, ODOMETER, TWISTED, ZOO, one
 
 
 def _classes(zoo):
@@ -116,3 +118,11 @@ def test_nucleus_of_the_odometer(zoo):
     report = nucleus(one(zoo, "a"))
     assert report.contracting
     assert len(report.elements) == 3  # e, a, a^-1
+
+
+def test_nucleus_refuses_generators_from_two_systems():
+    odo, twisted = parse_system(ODOMETER), parse_system(TWISTED)
+    # a is defined in both systems, b only in the second
+    for name in ("a", "b"):
+        with pytest.raises(ValueError, match="different systems"):
+            nucleus([one(odo, "a"), one(twisted, name)])

@@ -175,6 +175,17 @@ def test_simultaneous_pair_with_a_common_witness(twisted):
         assert _verified(h, x, y, depth=8)
 
 
+def test_policies_choose_among_surviving_permutations():
+    sys = parse_system("alphabet 3\na = (e, a, e) [1 2 0]\n")
+    a = one(sys, "a")
+    swap = lambda pair, opts: (1, 0, 2)  # not a root conjugator of a 3-cycle
+    for graph, synthesize in ((conj_graph(a, a), basic_conjugator),
+                              (sim_conj_graph([a], [a]), sim_basic_conjugator)):
+        assert _verified(synthesize(graph, "greatest").element, a, a, depth=6)
+        with pytest.raises(ValueError, match="pruned permutation"):
+            synthesize(graph, swap)
+
+
 def test_simultaneous_detects_incompatible_components(odometer):
     _, a = odometer
     dec = conjugate_in_aut_simultaneous([a, a], [inverse(a), a])

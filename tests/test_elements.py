@@ -16,7 +16,9 @@ from arboreal import (
     power,
     section,
 )
-from arboreal.system import merge_into, parse_system
+from arboreal import configurations, nucleus, orbit_signalizer
+from arboreal.elements import MAX_WORD_LENGTH, Interner
+from arboreal.system import EMPTY, FRSystem, merge_into, parse_system
 
 from conftest import BRANCH, CARRY, ODOMETER, TWISTED, one
 
@@ -128,3 +130,52 @@ def test_cross_system_comparison_after_merge():
     ren = merge_into(s1, s2)
     assert equal(one(s1, "a"), one(s1, ren["a"])) is True
     assert equal(one(s1, "a"), one(s1, ren["b"])) is False
+
+
+def test_interner_keys_words_by_semantic_equality(carry):
+    sys, p, q = carry
+    s, ss = ((("s", 1),), (("s", 1), ("s", 1)))
+    intern = Interner(sys)
+    assert [intern.key(w) for w in (EMPTY, p.word, q.word)] == [0, 1, 2]
+    assert intern.words == [EMPTY, p.word, q.word]
+    # s*s is the identity and p*s*s respells p: no new keys
+    assert intern.key(ss) == 0
+    assert intern.key(p.word + ss) == 1
+    assert len(intern) == 3
+    # lookup finds respellings and never inserts
+    assert intern.lookup(ss + q.word) == 2
+    assert intern.lookup(s) is None
+    assert len(intern) == 3
+    assert intern.key(s) == 3 and intern.lookup(s) == 3
+    long = p.word * (MAX_WORD_LENGTH + 1)
+    for res in (intern.key(long), intern.lookup(long)):
+        assert isinstance(res, Exceeded) and res.kind == "word length"
+    assert len(intern) == 4
+
+
+def test_closures_never_recheck_their_own_words(monkeypatch):
+    """The closures work on words the system produced; only their
+    inputs are checked, when they are built."""
+
+    def inputs():
+        sys = parse_system(CARRY)
+        p, q = one(sys, "p"), one(sys, "q")
+        return p, q, multiply(p, q)
+
+    def run(p, q, pq):
+        closure = configurations(p, q)
+        os_ = orbit_signalizer(p, letters="all")
+        return (
+            closure.status, [closure.space.describe(c) for c in closure.configs],
+            os_.status, [str(g) for g in os_.elements], os_.edges,
+            [str(g) for g in nucleus(p).elements],
+            minimize(pq),
+        )
+
+    def refuse(self, w):
+        raise AssertionError("check_word on an internal word")
+
+    want = run(*inputs())
+    args = inputs()
+    monkeypatch.setattr(FRSystem, "check_word", refuse)
+    assert run(*args) == want
