@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .classify import orbit_signalizer, polynomial_degree
-from .conjugacy import _fill_orbit, _successor_map
+from .conjugacy import _orbit_sections
 from .elements import EQUALITY_BUDGET, Element, Exceeded, Interner, _equal_words, _same_system
 from .graphs import breadth_first, surviving
 from .perms import Perm, compose, conjugators, is_identity, inverse as perm_inverse, orbits
@@ -310,10 +310,8 @@ class FinSat:
         pi = self._pi[cfg]
         wa = self.space.word(cfg.main[0])
         wb = self.space.word(cfg.main[1])
-        sections: list = [EMPTY] * sys.degree
-        for step in self.univ[cfg][pi]:
-            wit = self.witness_word(step.config)
-            _fill_orbit(sys, sections, wa, wb, step.letter, pi[step.letter], wit)
+        fills = [(step.letter, self.witness_word(step.config)) for step in self.univ[cfg][pi]]
+        sections = _orbit_sections(sys, wa, wb, pi, fills)
         [name] = sys.fresh_names(["f"])
         sys.define(name, pi, sections)
         w: Word = ((name, 1),)
@@ -439,87 +437,67 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
         return RestrictedDecision("unknown", certificate="interner cap: %s" % (exc.info,))
     idx_a = {k: i for i, k in enumerate(ka)}
     idx_b = {k: j for j, k in enumerate(kb)}
-    succ_a = _successor_map(os_a)
-    succ_b = _successor_map(os_b)
     pairs = [(i, j) for i in range(len(ka)) for j in range(len(kb))]
     dist: dict = {}
 
     def pair_cpi(i, j):
         return space.cpi(ka[i], kb[j])
 
-    # seed: finitary conjugator for the pair itself.  The input pair sits
-    # first; once it is distinguished the remaining pairs are irrelevant,
-    # since synthesis only follows rule references downward.
-    for i, j in pairs:
+    def steps(i, j, pi):
+        """Orbit steps of the pair's configuration under pi, each with
+        the closure pair it induces (the closures are closed under
+        orbit-power sections at every letter)."""
+        return [
+            (s, idx_a[s.config.main[0]], idx_b[s.config.main[1]])
+            for s in space.steps(space.pair_config(ka[i], kb[j]), pi)
+        ]
+
+    # seed: finitary conjugator for the pair itself.  Once the seed rule
+    # has passed over every pair, all pair configurations are explored,
+    # so the later rules read cached steps.
+    def seed(i, j):
         cfg = space.pair_config(ka[i], kb[j])
         if fin.satisfiable(cfg) is not None:
             dist[(i, j)] = ("finitary", cfg)
-        if (0, 0) in dist:
-            break
-    if fin.status != "complete":
-        return RestrictedDecision("unknown", certificate=fin.status)
 
     # moving circuit: the conjugator equals its own section at a letter u
     # moved by c; the state at (u)c^t is then finitary and determines it
-    def moving(wc, wd, pi):
-        for orb in orbits(sys.root_perm(wc)):
-            m = len(orb)
-            if m < 2:
-                continue
-            pc = [sys.power_sections(wc, u) for u in orb]
-            pd = [sys.power_sections(wd, pi[u]) for u in orb]
-            for pos in range(m):
-                for t in range(1, m):
-                    v = (pos + t) % m
-                    cfg_v = space.pair_config(space.key(pc[v][m]), space.key(pd[v][m]))
-                    if fin.satisfiable(cfg_v) is None:
-                        continue
-                    g_word = fin.witness_word(cfg_v)
-                    h_word = reduce_word(pc[pos][t] + g_word + invert_word(pd[pos][t]))
-                    if _conjugates(sys, h_word, wc, wd, budget) is True:
-                        return h_word
-        return None
-
-    for i, j in pairs:
-        if (0, 0) in dist:
-            break
-        if (i, j) in dist:
-            continue
+    def moving(i, j):
+        wc, wd = os_a.elements[i].word, os_b.elements[j].word
         for pi in pair_cpi(i, j):
-            h_word = moving(os_a.elements[i].word, os_b.elements[j].word, pi)
-            if h_word is not None:
-                dist[(i, j)] = ("moving", h_word)
-                break
-    if fin.status != "complete":
-        return RestrictedDecision("unknown", certificate=fin.status)
+            for orb in orbits(sys.root_perm(wc)):
+                m = len(orb)
+                if m < 2:
+                    continue
+                pc = [sys.power_sections(wc, u) for u in orb]
+                pd = [sys.power_sections(wd, pi[u]) for u in orb]
+                for pos in range(m):
+                    for t in range(1, m):
+                        v = (pos + t) % m
+                        cfg_v = space.pair_config(space.key(pc[v][m]), space.key(pd[v][m]))
+                        if fin.satisfiable(cfg_v) is None:
+                            continue
+                        g_word = fin.witness_word(cfg_v)
+                        h_word = reduce_word(pc[pos][t] + g_word + invert_word(pd[pos][t]))
+                        if _conjugates(sys, h_word, wc, wd, budget) is True:
+                            dist[(i, j)] = ("moving", h_word)
+                            return
 
     # fixed circuit: cycles through letterwise-fixed successors whose
     # off-cycle orbits are all finitary-satisfiable
-    def circuit_edges(i, j, pi):
-        """Fixed letters x usable as a circuit step at (i, j, pi): every
-        other orbit's induced configuration is finitary-satisfiable."""
-        cfg = space.pair_config(ka[i], kb[j])
-        steps = space.steps(cfg, pi)
-        out = []
-        for step in steps:
-            if step.size != 1:
-                continue
-            if all(
-                fin.satisfiable(other.config) is not None
-                for other in steps
-                if other.letter != step.letter
-            ):
-                i2 = idx_a.get(step.config.main[0])
-                j2 = idx_b.get(step.config.main[1])
-                if i2 is not None and j2 is not None:
-                    out.append((step.letter, i2, j2, steps))
-        return out
-
     edge_cache: dict = {}
 
     def edges_of(v):
+        """Fixed letters x usable as a circuit step at v = (i, j, pi):
+        every other orbit's induced configuration is finitary-satisfiable."""
         if v not in edge_cache:
-            edge_cache[v] = circuit_edges(*v)
+            out = steps(*v)
+            edge_cache[v] = [
+                (s.letter, i2, j2)
+                for s, i2, j2 in out
+                if s.size == 1
+                and all(fin.satisfiable(o.config) is not None for o, _, _ in out if o is not s)
+            ]
         return edge_cache[v]
 
     def find_cycle(start):
@@ -530,7 +508,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
         used_letters: list = []
 
         def rec(v):
-            for x, i2, j2, steps in edges_of(v):
+            for x, i2, j2 in edges_of(v):
                 for tau in pair_cpi(i2, j2):
                     w = (i2, j2, tau)
                     if w == start:
@@ -552,25 +530,27 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
             return list(path), list(used_letters)
         return None
 
-    for i, j in pairs:
-        if (0, 0) in dist:
-            break
-        if (i, j) in dist:
-            continue
-        hit = None
+    def circuit(i, j):
         for pi in pair_cpi(i, j):
             hit = find_cycle((i, j, pi))
             if hit:
+                cycle, letters = hit
+                for t, (vi, vj, _) in enumerate(cycle):
+                    if (vi, vj) not in dist:
+                        dist[(vi, vj)] = ("circuit", cycle[t:] + cycle[:t], letters[t:] + letters[:t])
+                return
+
+    # the input pair sits first; once it is distinguished the remaining
+    # pairs are irrelevant, since synthesis only follows rule references
+    # downward
+    for rule in (seed, moving, circuit):
+        for i, j in pairs:
+            if (0, 0) in dist:
                 break
-        if hit:
-            cycle, letters = hit
-            for t, (vi, vj, vpi) in enumerate(cycle):
-                if (vi, vj) not in dist:
-                    rotated = cycle[t:] + cycle[:t]
-                    rl = letters[t:] + letters[:t]
-                    dist[(vi, vj)] = ("circuit", rotated, rl)
-    if fin.status != "complete":
-        return RestrictedDecision("unknown", certificate=fin.status)
+            if (i, j) not in dist:
+                rule(i, j)
+        if fin.status != "complete":
+            return RestrictedDecision("unknown", certificate=fin.status)
 
     # reduction closure: all orbit successors already distinguished
     changed = (0, 0) not in dist
@@ -582,20 +562,9 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
                 break
             if (i, j) in dist:
                 continue
-            c = os_a.elements[i]
             for pi in pair_cpi(i, j):
-                plan = []
-                ok = True
-                for orb in orbits(c.root_perm):
-                    x = orb[0]
-                    m, i2 = succ_a[(i, x)]
-                    _, j2 = succ_b[(j, pi[x])]
-                    if (i2, j2) not in dist:
-                        ok = False
-                        break
-                    plan.append((orb, i2, j2))
-                if ok:
-                    dist[(i, j)] = ("reduction", pi, plan)
+                if all((i2, j2) in dist for _, i2, j2 in steps(i, j, pi)):
+                    dist[(i, j)] = ("reduction", pi)
                     changed = True
                     break
 
@@ -609,12 +578,16 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
     # synthesis of the witness, one rule at a time
     synth_memo: dict = {}
 
+    def sections(i, j, pi, wit):
+        """Sections of a conjugator for pair (i, j) with root pi, taking
+        wit(step, i2, j2) at the anchor letter of each orbit step."""
+        fills = [(s.letter, wit(s, i2, j2)) for s, i2, j2 in steps(i, j, pi)]
+        return _orbit_sections(sys, os_a.elements[i].word, os_b.elements[j].word, pi, fills)
+
     def synth(pair) -> Word:
         if pair in synth_memo:
             return synth_memo[pair]
         rule = dist[pair]
-        i, j = pair
-        wc, wd = os_a.elements[i].word, os_b.elements[j].word
         if rule[0] == "finitary":
             w = fin.witness_word(rule[1])
         elif rule[0] == "moving":
@@ -625,26 +598,16 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
             for t, (vi, vj, vpi) in enumerate(cycle):
                 synth_memo[(vi, vj)] = ((names[t], 1),)
             for t, (vi, vj, vpi) in enumerate(cycle):
-                wvc = os_a.elements[vi].word
-                wvd = os_b.elements[vj].word
-                cfg = space.pair_config(ka[vi], kb[vj])
-                sections: list = [EMPTY] * sys.degree
-                for step in space.steps(cfg, vpi):
-                    if step.letter == letters[t]:
-                        wit = ((names[(t + 1) % len(cycle)], 1),)
-                    else:
-                        wit = fin.witness_word(step.config)
-                    _fill_orbit(sys, sections, wvc, wvd, step.letter, vpi[step.letter], wit)
-                sys.define(names[t], vpi, sections)
+                nxt = ((names[(t + 1) % len(cycle)], 1),)
+                sys.define(names[t], vpi, sections(vi, vj, vpi, lambda s, i2, j2: (
+                    nxt if s.letter == letters[t] else fin.witness_word(s.config))))
             w = synth_memo[pair]
         else:  # reduction
-            pi, plan = rule[1], rule[2]
-            sections = [EMPTY] * sys.degree
-            for orb, i2, j2 in plan:
-                _fill_orbit(sys, sections, wc, wd, orb[0], pi[orb[0]], synth((i2, j2)))
+            pi = rule[1]
+            secs = sections(*pair, pi, lambda s, i2, j2: synth((i2, j2)))
             # named only now: the recursive calls above define names too
             [name] = sys.fresh_names(["h"])
-            sys.define(name, pi, sections)
+            sys.define(name, pi, secs)
             w = ((name, 1),)
         synth_memo[pair] = w
         return w

@@ -211,14 +211,6 @@ def _cmd_graph(args):
     return (0 if complete else 2), summary, witness, {"cap": args.cap}, lines
 
 
-def _verify_or_fail(h, pairs, depth):
-    """Oracle check of a synthesized conjugator on every pair."""
-    for a, b in pairs:
-        if not verify_conjugator(h, a, b, depth):
-            return False
-    return True
-
-
 def _cmd_conjugate(args):
     sys, _ = _load(args.file)
     caps = {"cap": args.cap, "verify_depth": args.verify_depth}
@@ -267,7 +259,7 @@ def _cmd_conjugate(args):
     if not dec.conjugate:
         return 1, "not conjugate", {"reason": reason}, caps, []
     h = synthesize(dec.graph).element if synthesize else dec.conjugator
-    if not _verify_or_fail(h, pairs, args.verify_depth):
+    if not all(verify_conjugator(h, a, b, args.verify_depth) for a, b in pairs):
         return 2, "unknown", {"reason": "verification failed"}, caps, []
     witness = _conjugator_witness(sys, h.word, cls)
     witness["verified_depth"] = args.verify_depth

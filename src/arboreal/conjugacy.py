@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .classify import OrbitSignalizer, orbit_signalizer
 from .elements import Element, Exceeded, Interner, _same_system
-from .graphs import surviving
+from .graphs import breadth_first, surviving
 from .oracle import MAX_LEAVES, TruncatedAut, _check_depth
 from .perms import Perm, conjugators, inverse as perm_inverse, orbits
 from .system import EMPTY, FRSystem, Word, format_system, invert_word, reduce_word
@@ -28,19 +28,22 @@ from .system import EMPTY, FRSystem, Word, format_system, invert_word, reduce_wo
 log = logging.getLogger("arboreal.conjugacy")
 
 
-def _fill_orbit(sys: FRSystem, sections: list, wc: Word, wd: Word, x: int, y: int, wit: Word) -> None:
-    """Fill in the sections of a conjugator h from c to d along the orbit
-    of x under c.
+def _orbit_sections(sys: FRSystem, wc: Word, wd: Word, pi: Perm, fills) -> list:
+    """Sections of a conjugator h from c to d with root permutation pi.
 
-    Given h|_x = wit and x^pi = y, the orbit letter x c^t gets
-    h|_(x c^t) = (c^t|_x)^-1 * wit * d^t|_y, which is wit at t = 0.
+    fills holds (x, wit) for one letter x of each orbit of c, with
+    h|_x = wit.  The orbit letter x c^t gets
+    h|_(x c^t) = (c^t|_x)^-1 * wit * d^t|_(x pi), which is wit at t = 0.
     """
     pc = sys.root_perm(wc)
-    lhs, rhs = sys.power_sections(wc, x), sys.power_sections(wd, y)
-    u = x
-    for t in range(len(lhs) - 1):
-        sections[u] = reduce_word(invert_word(lhs[t]) + wit + rhs[t])
-        u = pc[u]
+    sections: list = [EMPTY] * sys.degree
+    for x, wit in fills:
+        lhs, rhs = sys.power_sections(wc, x), sys.power_sections(wd, pi[x])
+        u = x
+        for t in range(len(lhs) - 1):
+            sections[u] = reduce_word(invert_word(lhs[t]) + wit + rhs[t])
+            u = pc[u]
+    return sections
 
 
 # -- the pair graph ------------------------------------------------------------
@@ -69,16 +72,6 @@ class ConjGraph:
     def pair_options(self, i: int, j: int) -> list:
         return [v[2] for v in self.vertices if v[0] == i and v[1] == j]
 
-    def successor_pair(self, i: int, j: int, pi: Perm, x: int):
-        """(m, i', j') for the orbit of letter x of vertex (i, j, pi)."""
-        m, ti = self._succ_a[(i, x)]
-        _, tj = self._succ_b[(j, pi[x])]
-        return m, ti, tj
-
-
-def _successor_map(os: OrbitSignalizer) -> dict:
-    return {(e[0], e[3]): (e[1], e[2]) for e in os.edges}
-
 
 def conj_graph(a: Element, b: Element, cap: int = 512) -> ConjGraph:
     """Pruned conjugator graph of (a, b) over the full group.
@@ -97,8 +90,9 @@ def conj_graph(a: Element, b: Element, cap: int = 512) -> ConjGraph:
     if not (os_a.complete and os_b.complete):
         graph.status = "exceeded"
         return graph
-    graph._succ_a = _successor_map(os_a)
-    graph._succ_b = _successor_map(os_b)
+    # orbit-power successors (index, anchor letter) -> index
+    succ_a = {(e[0], e[3]): e[2] for e in os_a.edges}
+    succ_b = {(e[0], e[3]): e[2] for e in os_b.edges}
     perm_a = [g.root_perm for g in os_a.elements]
     perm_b = [g.root_perm for g in os_b.elements]
     cpi: dict[tuple[int, int], tuple] = {}
@@ -113,8 +107,7 @@ def conj_graph(a: Element, b: Element, cap: int = 512) -> ConjGraph:
         out = {}
         for orb in orbits(perm_a[i]):
             x = orb[0]
-            _, ti = graph._succ_a[(i, x)]
-            _, tj = graph._succ_b[(j, pi[x])]
+            ti, tj = succ_a[(i, x)], succ_b[(j, pi[x])]
             out[x] = [(ti, tj, tau) for tau in options(ti, tj)]
         return out
 
@@ -197,39 +190,24 @@ def _policy_fn(policy):
 
 def _synthesize(graph: ConjGraph, choose) -> ConjugatorFR:
     sys = graph.os_a.interner.system
-    perm_a = [g.root_perm for g in graph.os_a.elements]
     assign: dict = {}
-    order: list = []
 
-    def fix(pair):
+    def successors(pair):
+        # the permutation of a pair is chosen when the walk reaches it;
+        # every successor of one orbit in the pruned edges has one pair
         opts = graph.pair_options(*pair)
-        pi = choose(pair, opts)
+        pi = assign[pair] = choose(pair, opts)
         if pi not in opts:
             raise ValueError("policy chose a pruned permutation %r for pair %r" % (pi, pair))
-        assign[pair] = pi
-        order.append(pair)
+        return [succs[0][:2] for succs in graph.edges[(*pair, pi)].values()]
 
-    fix((0, 0))
-    pos = 0
-    while pos < len(order):
-        i, j = order[pos]
-        pos += 1
-        for orb in orbits(perm_a[i]):
-            _, ti, tj = graph.successor_pair(i, j, assign[(i, j)], orb[0])
-            if (ti, tj) not in assign:
-                fix((ti, tj))
+    order = breadth_first((0, 0), successors)
     names = dict(zip(order, sys.fresh_names(["h" if p == (0, 0) else "g" for p in order])))
-    for pair in order:
-        i, j = pair
-        pi = assign[pair]
-        w_c = graph.os_a.elements[i].word
-        w_d = graph.os_b.elements[j].word
-        sections: list = [EMPTY] * sys.degree
-        for orb in orbits(perm_a[i]):
-            x = orb[0]
-            _, ti, tj = graph.successor_pair(i, j, pi, x)
-            _fill_orbit(sys, sections, w_c, w_d, x, pi[x], ((names[(ti, tj)], 1),))
-        sys.define(names[pair], pi, sections)
+    for i, j in order:
+        pi = assign[(i, j)]
+        fills = [(x, ((names[succs[0][:2]], 1),)) for x, succs in graph.edges[(i, j, pi)].items()]
+        sys.define(names[(i, j)], pi, _orbit_sections(
+            sys, graph.os_a.elements[i].word, graph.os_b.elements[j].word, pi, fills))
     sys.validate()
     return ConjugatorFR(
         sys,
@@ -255,30 +233,19 @@ def all_basic_conjugators(graph: ConjGraph, limit: int = 64) -> list:
     order of the choices along pair discovery order."""
     if not graph.roots:
         return []
-    perm_a = [g.root_perm for g in graph.os_a.elements]
     out: list = []
-
-    def reachable_unassigned(assign):
-        order = [(0, 0)]
-        seen = {(0, 0)}
-        pos = 0
-        while pos < len(order):
-            pair = order[pos]
-            pos += 1
-            if pair not in assign:
-                return pair, None
-            i, j = pair
-            for orb in orbits(perm_a[i]):
-                _, ti, tj = graph.successor_pair(i, j, assign[pair], orb[0])
-                if (ti, tj) not in seen:
-                    seen.add((ti, tj))
-                    order.append((ti, tj))
-        return None, order
 
     def rec(assign):
         if len(out) >= limit:
             return
-        pair, _ = reachable_unassigned(assign)
+        def successors(p):
+            # an unassigned pair ends the walk there; the first one met
+            # is the next to branch on
+            if p not in assign:
+                return ()
+            return [succs[0][:2] for succs in graph.edges[(*p, assign[p])].values()]
+
+        pair = next((p for p in breadth_first((0, 0), successors) if p not in assign), None)
         if pair is None:
             out.append(_synthesize(graph, lambda p, opts: assign[p]))
             return
@@ -482,39 +449,27 @@ def sim_basic_conjugator(graph: SimConjGraph, policy="least") -> ConjugatorFR:
     for tk, pi in graph.vertices:
         alive_pi.setdefault(tk, []).append(pi)
     assign: dict = {}
-    order: list = []
+    plans = {}
 
-    def fix(tk):
-        pi = choose(tk, alive_pi[tk])
+    def successors(tk):
+        pi = assign[tk] = choose(tk, alive_pi[tk])
         if pi not in alive_pi[tk]:
             raise ValueError("policy chose a pruned permutation %r for tuple %r" % (pi, tk))
-        assign[tk] = pi
-        order.append(tk)
-
-    fix(graph.root_tuple)
-    pos = 0
-    plans = {}
-    while pos < len(order):
-        tk = order[pos]
-        pos += 1
-        pi = assign[tk]
         a_words = [intern.words[ka] for ka, _ in tk]
         b_words = [intern.words[kb] for _, kb in tk]
         perms_a = [sys.root_perm(w) for w in a_words]
-        plan = []
-        for orbit_info in _joint_orbits(perms_a, sys.degree):
-            # a surviving vertex keeps a successor at every orbit
-            tk2 = graph.edges[(tk, pi)][orbit_info[0]][0][0]
-            if tk2 not in assign:
-                fix(tk2)
-            plan.append((orbit_info, tk2, a_words, b_words))
-        plans[tk] = plan
+        # a surviving vertex keeps a successor at every orbit
+        succ = [(info, graph.edges[(tk, pi)][info[0]][0][0]) for info in _joint_orbits(perms_a, sys.degree)]
+        plans[tk] = (a_words, b_words, succ)
+        return [tk2 for _, tk2 in succ]
+
+    order = breadth_first(graph.root_tuple, successors)
     names = dict(zip(order, sys.fresh_names(["h" if tk == graph.root_tuple else "g" for tk in order])))
     for tk in order:
         pi = assign[tk]
         sections: list = [EMPTY] * sys.degree
-        for orbit_info, tk2, a_words, b_words in plans[tk]:
-            y0, orb, words = orbit_info
+        a_words, b_words, succ_tuples = plans[tk]
+        for (y0, orb, words), tk2 in succ_tuples:
             succ = ((names[tk2], 1),)
             sections[y0] = succ
             for y in orb:

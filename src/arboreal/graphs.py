@@ -4,7 +4,9 @@ graphs, no recursion).
 `surviving` is the one survival fixpoint: the conjugator graphs, the
 simultaneous tuple graphs and the configuration closures all prune by
 it.  `breadth_first` walks the configuration closures, both while they
-are built and when their survivors are listed.
+are built and when their survivors are listed, and the pruned graphs
+in conjugator synthesis: `basic_conjugator`, `all_basic_conjugators`
+and `sim_basic_conjugator`.
 `strongly_connected_components` serves the order graphs and the circuit
 analysis of classification.
 """

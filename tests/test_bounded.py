@@ -25,6 +25,7 @@ from arboreal.bounded import ConfigSpace, FinSat
 from arboreal.system import merge_into, parse_system
 
 from conftest import CARRY, ODOMETER, ZOO, one
+from test_identity_corpus import load as load_corpus
 
 SWAP = (1, 0)
 STAY = (0, 1)
@@ -240,6 +241,31 @@ def test_planted_pairs_synthesize_nested_witnesses(degree, budget_a, budget_h, s
     assert dec.tag == "conjugate"
     assert verify_conjugator(dec.conjugator, a, b, depth)
     a.system.validate()
+
+
+@pytest.mark.parametrize("pair,certificate,text", [
+    ((0, 2, 4, 3), "rule finitary", "f {f = (e, e) [1 0]}"),
+    ((16, 2, 4, 3), "rule reduction",
+     "h_3 {c1_2 = (e, c2_2^-1) [1 0]; c2_2 = (c1_2^-1, e); h = (e, c1_2); h_2 = (h, e) [1 0]; h_3 = (h_2, e)}"),
+    ((11, 2, 4, 3), "rule moving",
+     "f1*f*f1_2*f1^-1*c1_2 {f1 = (e, e) [1 0]; f1_2 = (e, e) [1 0]; c1_2 = (f1_2^-1, c1_2); f = (e, e) [1 0]}"),
+    ((72, 3, 6, 4), "rule circuit",
+     "h {f1 = (e, e, e) [2 1 0]; f2 = (e, f1, f1^-1*f1^-1) [2 1 0]; f = (e, e, e); h = (h_2, f, f*f1) [2 0 1]; "
+     "f_2 = (e, f, e); h_2 = (h, f_2, f_2*f2^-1) [2 0 1]}"),
+    ("carry", "rule circuit", "h {h = (e, h) [1 0]}"),
+])
+def test_pol0_witness_texts_per_rule(pair, certificate, text):
+    # one golden witness per rule of the cyclic decider: symbol names,
+    # definition order and sections are all part of its output
+    if pair == "carry":
+        sys = parse_system(CARRY)
+        a, b = one(sys, "p"), one(sys, "q")
+    else:
+        a, b = planted_pair(*pair)
+    dec = conjugate_in_pol0_cyclic(a, b)
+    assert dec.tag == "conjugate"
+    assert dec.certificate == certificate
+    assert load_corpus().witness(dec.conjugator) == text
 
 
 def from_scratch_depths(fin):

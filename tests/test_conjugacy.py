@@ -27,6 +27,7 @@ from arboreal.graphs import surviving
 from arboreal.system import parse_system
 
 from conftest import BRANCH, TWISTED, one
+from test_identity_corpus import load as load_corpus
 
 
 def _verified(h, a, b, depth=10):
@@ -161,6 +162,16 @@ def test_simultaneous_singleton_matches_plain(odometer):
     assert dec.conjugate
     h = sim_basic_conjugator(dec.graph)
     assert _verified(h.element, a, inverse(a))
+    # planted and coded-negative corpus pairs: a 1-tuple gets the verdict
+    # of the pair itself, and both syntheses verify
+    for kind, degree, _, a, b, _ in load_corpus().pairs(30, 10):
+        plain = conjugate_in_aut(a, b)
+        sim = conjugate_in_aut_simultaneous([a], [b])
+        assert sim.tag == plain.tag == ("conjugate" if kind == "planted" else "not_conjugate")
+        if plain.conjugate:
+            depth = 10 if degree == 2 else 6
+            assert _verified(basic_conjugator(plain.graph).element, a, b, depth)
+            assert _verified(sim_basic_conjugator(sim.graph).element, a, b, depth)
 
 
 def test_simultaneous_pair_with_a_common_witness(twisted):

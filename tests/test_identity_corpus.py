@@ -27,6 +27,8 @@ def test_identity_corpus_prints_records_and_their_digest(capsys):
         assert verdict.split()[1] == ("conjugate" if line.startswith("planted") else "not_conjugate")
     digest = hashlib.sha256("".join(line + "\n" for line in records).encode()).hexdigest()
     assert last == "sha256 " + digest
+    # the slice's verdicts, witnesses and symbol names, pinned
+    assert last == "sha256 ef4fc2a0be18af976344f7d567d7eb05287234f4b25000e62a26e2cce9eccfc8"
     # a second run in the same process prints the same corpus
     corpus.main(["--deg2", "2", "--deg3", "1"])
     assert capsys.readouterr().out.splitlines()[-1] == last
