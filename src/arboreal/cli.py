@@ -422,6 +422,8 @@ def main(argv=None) -> int:
     else:
         if args.command != "parse":
             print(verdict)
+        if witness and witness.get("reason"):
+            print("reason: %s" % witness["reason"])
         for line in lines:
             print(line)
     return code

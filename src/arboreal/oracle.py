@@ -1,16 +1,20 @@
-"""Brute-force ground truth on depth-truncated trees.
+"""Ground truth on depth-truncated trees.
 
-Nothing here knows about the decision procedures: actions are unrolled
-level by level straight from the recursion, so these functions serve as
-independent cross-checks for order, conjugacy and classification.  The
-vertices of a level share one row per identical reduced section word;
-no two distinct words are merged, even when they name one element.
+Nothing here knows about the decision procedures, so these functions
+serve as independent cross-checks for order, conjugacy and
+classification.  `truncate` unrolls the action level by level straight
+from the recursion and is the definition the others are tested against.
+`verify_conjugator` is a state-pair walk and `truncated_order` and
+`orbit_tree_code` are an orbit-power recursion; both group section
+words by syntactic identity alone, never by the word problem, so two
+spellings of one element are walked twice and no decider state is read.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from math import lcm
 
 from .elements import Element, inverse, multiply
@@ -81,55 +85,73 @@ def truncate(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> TruncatedAut:
     return TruncatedAut(g.system.degree, n, maps)
 
 
+def _orbit_powers(sys: FRSystem, w):
+    """(m, w^m|_x) for each orbit of the root permutation of w, x its
+    least letter and m its length."""
+    return [(len(c), sys.power_sections(w, c[0])[-1]) for c in orbits(sys.root_perm(w))]
+
+
 def truncated_order(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> int:
     """Order of the induced permutation on level n; divides the true
-    order whenever that is finite."""
-    _check_depth(g.system.degree, n, max_leaves)
-    last = None
-    for m in _level_maps(g, n):
-        last = m
-    return lcm(*(len(c) for c in orbits(last)))
+    order whenever that is finite.
+
+    Orbit-power recursion, grouped by syntactic identity: below an orbit
+    (x, m) of the root permutation of w, <w> acts on level k as <w^m|_x>
+    acts on level k-1 with every orbit m times longer, so the order L
+    has L(w, k) = lcm of m * L(w^m|_x, k-1) and L(w, 0) = 1.  Memoised on
+    (w, k) for one call.
+    """
+    sys = g.system
+    _check_depth(sys.degree, n, max_leaves)
+
+    @cache
+    def level_order(w, k):
+        return 1 if k == 0 else lcm(*(m * level_order(u, k - 1) for m, u in _orbit_powers(sys, w)))
+
+    return level_order(g.word, n)
 
 
 def orbit_tree_code(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> str:
     """Canonical string of the orbit tree of <g> on the truncated tree:
-    per orbit, its size and the sorted codes of its child orbits.
-    Conjugate automorphisms get equal codes at every depth."""
-    t = truncate(g, n, max_leaves)
-    d = g.system.degree
-    per_level = []  # (orbit_id array, orbit count, sizes)
-    for k in range(n + 1):
-        cycles = orbits(t.level_maps[k])
-        oid = [0] * (d**k)
-        sizes = []
-        for i, cyc in enumerate(cycles):
-            sizes.append(len(cyc))
-            for v in cyc:
-                oid[v] = i
-        per_level.append((oid, sizes))
-    codes = ["(%d)" % s for s in per_level[n][1]]
-    for k in range(n - 1, -1, -1):
-        oid, sizes = per_level[k]
-        child_oid = per_level[k + 1][0]
-        children = [[] for _ in sizes]
-        for v, i in enumerate(child_oid):
-            children[oid[v // d]].append(codes[i])
-        # one orbit contributes d^?|duplicates per member; keep each child once
-        codes = [
-            "(%d:%s)" % (sizes[i], ",".join(sorted(set(children[i]))))
-            for i in range(len(sizes))
-        ]
-    return codes[0]
+    per orbit, its size and the sorted distinct codes of its child
+    orbits.  Conjugate automorphisms get equal codes at every depth.
+
+    Orbit-power recursion, grouped by syntactic identity: an orbit of
+    size s whose power section is w has one child orbit of size s*m per
+    orbit (x, m) of the root permutation of w, with power section
+    w^m|_x.  Memoised on (w, k, s) for one call.
+    """
+    sys = g.system
+    _check_depth(sys.degree, n, max_leaves)
+
+    @cache
+    def code(w, k, s):
+        if k == 0:
+            return "(%d)" % s
+        kids = {code(u, k - 1, s * m) for m, u in _orbit_powers(sys, w)}
+        return "(%d:%s)" % (s, ",".join(sorted(kids)))
+
+    return code(g.word, n, 1)
 
 
 def verify_conjugator(h, a: Element, b: Element, n: int, max_leaves: int = MAX_LEAVES) -> bool:
-    """act(h^-1 * a * h, v) == act(b, v) for every v of length <= n."""
+    """act(h^-1 * a * h, v) == act(b, v) for every v of length <= n.
+
+    State-pair walk: the two level-k maps agree exactly when the root
+    permutations agree at every vertex above level k, so walk the pairs
+    of sections (h^-1*a*h|_v, b|_v) one level at a time, each level a
+    set of syntactically distinct pairs, and compare root permutations
+    at depths 0..n-1.
+    """
     h = getattr(h, "element", h)
     _check_depth(a.system.degree, n, max_leaves)
-    lhs = multiply(multiply(inverse(h), a), h)
-    for mine, theirs in zip(_level_maps(lhs, n), _level_maps(b, n)):
-        if mine != theirs:
+    sa, sb = a.system, b.system
+    pairs = {(multiply(multiply(inverse(h), a), h).word, b.word)}
+    for depth in range(n):
+        if any(sa.root_perm(u) != sb.root_perm(v) for u, v in pairs):
             return False
+        if depth < n - 1:
+            pairs = {(sa.section(u, x), sb.section(v, x)) for u, v in pairs for x in range(sa.degree)}
     return True
 
 

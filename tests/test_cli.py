@@ -144,6 +144,25 @@ def test_conjugate_groups_and_exit_codes(fr, capsys):
     assert run(capsys, "conjugate", path, "a", "a*a")[0] == 1
 
 
+def test_negative_and_unknown_verdicts_print_their_reason(fr, capsys):
+    odo = fr(ODOMETER, "odo.fr")
+    code, out = run(capsys, "conjugate", odo, "a", "a^-1", "--group", "pol0")
+    assert code == 1
+    verdict, reason = out.splitlines()
+    assert verdict == "not conjugate"
+    assert reason.startswith("reason: fixpoint distinguished")
+    path = fr(BRANCH)
+    code, out = run(capsys, "conjugate", path, "a", "b")
+    assert code == 2
+    assert out.splitlines() == ["unknown", "reason: orbit-power closure exceeded cap 512"]
+    # the JSON report keeps the reason in its witness and prints nothing else
+    code, report = run_json(capsys, "conjugate", path, "a", "b")
+    assert code == 2
+    assert report["witness"] == {"reason": "orbit-power closure exceeded cap 512"}
+    # affirmative verdicts carry no reason
+    assert run(capsys, "conjugate", odo, "a", "a^-1")[1] == "conjugate\n"
+
+
 def test_conjugate_emits_a_loadable_witness(fr, capsys, tmp_path):
     path = fr(CARRY)
     code, out = run(capsys, "conjugate", path, "p", "q", "--group", "pol0",

@@ -1,6 +1,8 @@
 """Leaf-level oracles: truncations, orbit codes, witness checking, and
 the seeded generator they all get exercised against."""
 
+from math import lcm
+
 import pytest
 
 from arboreal import (
@@ -10,6 +12,7 @@ from arboreal import (
     equal,
     inverse,
     is_bounded,
+    minimize,
     multiply,
     orbit_tree_code,
     power,
@@ -18,10 +21,12 @@ from arboreal import (
     truncated_order,
     verify_conjugator,
 )
+from arboreal import elements
 from arboreal.oracle import MAX_LEAVES
-from arboreal.system import format_system, parse_system
+from arboreal.perms import orbits
+from arboreal.system import FRSystem, format_system, merge_into, parse_system, rename_word
 
-from conftest import CARRY, TWISTED, ZOO, one
+from conftest import BRANCH, CARRY, TWISTED, ZOO, one
 
 
 def test_truncation_of_the_identity(odometer):
@@ -78,6 +83,101 @@ def test_truncation_is_the_level_action(odometer):
     zoo = parse_system(ZOO)
     assert_matches_act(one(zoo, "l"), deepest_level(2))
     assert_matches_act(Element(zoo, (("l", 1), ("m", -1))), deepest_level(2))
+
+
+def reference_orbit_codes(maps, d):
+    """Orbit-tree code at every depth 0..len(maps)-1, read off the level
+    maps of a truncation: per orbit of each level, its size and the
+    sorted distinct codes of the orbits of the next level below it."""
+    per_level = []  # (orbit id of each vertex, orbit sizes)
+    for level in maps:
+        oid = [0] * len(level)
+        sizes = []
+        for i, cyc in enumerate(orbits(level)):
+            sizes.append(len(cyc))
+            for v in cyc:
+                oid[v] = i
+        per_level.append((oid, sizes))
+    out = []
+    for n in range(len(maps)):
+        codes = ["(%d)" % s for s in per_level[n][1]]
+        for k in range(n - 1, -1, -1):
+            oid, sizes = per_level[k]
+            children = [set() for _ in sizes]
+            for v, i in enumerate(per_level[k + 1][0]):
+                children[oid[v // d]].add(codes[i])
+            codes = ["(%d:%s)" % (sizes[i], ",".join(sorted(children[i]))) for i in range(len(sizes))]
+        out.append(codes[0])
+    return out
+
+
+def first_difference(g, h, n):
+    """The least level at most n whose maps differ under g and h, else None."""
+    mine, theirs = truncate(g, n).level_maps, truncate(h, n).level_maps
+    return next((k for k in range(n + 1) if mine[k] != theirs[k]), None)
+
+
+def oracle_inputs():
+    """Elements of every activity class, with inverse factors, each with
+    the deepest level the truncation accepts at its degree."""
+    for degree in (2, 3, 4, 5):
+        for seed in range(3):
+            sys = random_bounded(seed, 6, degree)
+            first, last = sys.symbols[0], sys.symbols[-1]
+            yield Element(sys, ((last, 1), (first, -1), (last, 1))), deepest_level(degree)
+            yield Element(sys, ((first, 1), (last, 1))), deepest_level(degree)
+    zoo = parse_system(ZOO)
+    yield one(zoo, "l"), deepest_level(2)
+    yield Element(zoo, (("l", 1), ("m", -1), ("a", 1))), deepest_level(2)
+    branch = parse_system(BRANCH)
+    for word in ("b", "a*b^-1*c", "c^-1*b*a"):
+        yield Element.parse(branch, word), deepest_level(2)
+
+
+def test_orbit_recursion_matches_the_level_maps():
+    for g, deepest in oracle_inputs():
+        maps = truncate(g, deepest).level_maps
+        codes = reference_orbit_codes(maps, g.system.degree)
+        for n in range(deepest + 1):
+            assert truncated_order(g, n) == lcm(*(len(c) for c in orbits(maps[n]))), (g, n)
+            assert orbit_tree_code(g, n) == codes[n], (g, n)
+
+
+def test_pair_walk_matches_the_level_maps():
+    refused = 0
+    for h, deepest in oracle_inputs():
+        a = one(h.system, h.system.symbols[-1])
+        true = multiply(multiply(inverse(h), a), h)
+        for b in (true, a, inverse(a)):
+            first = first_difference(true, b, deepest)
+            refused += first is not None
+            for n in range(deepest + 1):
+                # refused from the first differing level on, not before
+                assert verify_conjugator(h, a, b, n) == (first is None or n < first), (h, b, n)
+    assert refused
+
+
+def test_oracles_share_no_state_with_the_deciders(monkeypatch):
+    sys = random_bounded(16, 4, 2)
+    a = one(sys, sys.symbols[-1])
+    other = random_bounded(1016, 3, 2)
+    h = one(sys, merge_into(sys, other)[other.symbols[-1]])
+    # the target, rebuilt from its minimal machine, shares no spelling with h^-1*a*h
+    msys, m = minimize(multiply(multiply(inverse(h), a), h)).to_system()
+    b = Element(sys, rename_word(m.word, merge_into(sys, msys)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a leaf oracle reached the word problem")
+
+    monkeypatch.setattr(FRSystem, "find", forbidden)
+    monkeypatch.setattr(FRSystem, "union", forbidden)
+    monkeypatch.setattr(elements.Interner, "key", forbidden)
+    monkeypatch.setattr(elements, "_equal_words", forbidden)
+    n = deepest_level(2)
+    assert verify_conjugator(h, a, b, n)
+    assert not verify_conjugator(h, a, a, n)
+    assert truncated_order(a, n) == truncated_order(b, n)
+    assert orbit_tree_code(a, n) == orbit_tree_code(b, n)
 
 
 def test_truncations_refuse_huge_depths(odometer):
