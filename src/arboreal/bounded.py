@@ -67,6 +67,16 @@ class ConfigSpace:
 
     The trivial element is interned first so key 0 is always e; the
     dependency sets sort by key, which keeps (e,e) in front.
+
+    Every orbit step is read from tables of pure functions of keys and
+    letters.  Write w = word(k), c = word(kc), and let x be a letter whose
+    orbit under the root permutation of w has length m, with y = x w^t.
+    Then _powers[(k, x)] is [w^t|_x for t = 0..m], _orbit_keys[(k, x)]
+    is the key of w^m|_x, and _moves[(k, kc, x, y)] is the key of
+    (w^t * c)|_x = w^t|_x * c|_y.  A step of the pair (a, b) under pi
+    reads the a side at (ka, kc, x, y) and the b side at
+    (kb, kd, pi[x], pi[y]), since x a^t pi = x pi b^t; so one entry
+    serves every root conjugator, every configuration and both sides.
     """
 
     def __init__(self, system: FRSystem, budget: int = EQUALITY_BUDGET):
@@ -75,6 +85,10 @@ class ConfigSpace:
         self.trivial = self.key(EMPTY)
         self._cpi: dict = {}
         self._succ: dict = {}
+        self._orbits: dict = {}
+        self._powers: dict = {}
+        self._orbit_keys: dict = {}
+        self._moves: dict = {}
 
     def key(self, w: Word) -> int:
         k = self.interner.key(w)
@@ -93,6 +107,33 @@ class ConfigSpace:
             self._cpi[(ka, kb)] = conjugators(self.root_perm(ka), self.root_perm(kb))
         return self._cpi[(ka, kb)]
 
+    def orbits(self, k: int) -> list:
+        if k not in self._orbits:
+            self._orbits[k] = orbits(self.root_perm(k))
+        return self._orbits[k]
+
+    def powers(self, k: int, x: int) -> list:
+        """[w^t|_x for t = 0..m], w = word(k)."""
+        ps = self._powers.get((k, x))
+        if ps is None:
+            ps = self._powers[(k, x)] = self.system.power_sections(self.word(k), x)
+        return ps
+
+    def orbit_key(self, k: int, x: int) -> int:
+        """Key of w^m|_x, w = word(k), m the orbit length of x."""
+        ko = self._orbit_keys.get((k, x))
+        if ko is None:
+            ko = self._orbit_keys[(k, x)] = self.key(self.powers(k, x)[-1])
+        return ko
+
+    def _move(self, k: int, kc: int, x: int, t: int, y: int) -> int:
+        """Key of (w^t * c)|_x, w = word(k), c = word(kc), y = x w^t."""
+        km = self._moves.get((k, kc, x, y))
+        if km is None:
+            moved = reduce_word(self.powers(k, x)[t] + self.system.section(self.word(kc), y))
+            km = self._moves[(k, kc, x, y)] = self.key(moved)
+        return km
+
     def config(self, main, dp) -> Configuration:
         return Configuration(tuple(main), tuple(sorted(set(dp))))
 
@@ -107,24 +148,19 @@ class ConfigSpace:
         configuration one level down and the dependency-pair moves."""
         if (cfg, pi) in self._succ:
             return self._succ[(cfg, pi)]
-        sys = self.system
-        wa = self.word(cfg.main[0])
-        wb = self.word(cfg.main[1])
+        ka, kb = cfg.main
+        move = self._move
         out = []
-        for orb in orbits(sys.root_perm(wa)):
+        for orb in self.orbits(ka):
             x, m = orb[0], len(orb)
-            pa, pb = sys.power_sections(wa, x), sys.power_sections(wb, pi[x])
-            main2 = (self.key(pa[m]), self.key(pb[m]))
-            moves = []
-            for kc, kd in cfg.dp:
-                wc, wd = self.word(kc), self.word(kd)
-                # (a^t * c)|_x = a^t|_x * c|_(x a^t), and x a^t pi = x pi b^t
-                for t, y in enumerate(orb):
-                    c2 = reduce_word(pa[t] + sys.section(wc, y))
-                    d2 = reduce_word(pb[t] + sys.section(wd, pi[y]))
-                    moves.append(((kc, kd), (self.key(c2), self.key(d2))))
-            cfg2 = self.config(main2, [t for _, t in moves])
-            out.append(_OrbitStep(x, m, cfg2, tuple(moves)))
+            px = pi[x]
+            main2 = (self.orbit_key(ka, x), self.orbit_key(kb, px))
+            moves = tuple(
+                ((kc, kd), (move(ka, kc, x, t, y), move(kb, kd, px, t, pi[y])))
+                for kc, kd in cfg.dp
+                for t, y in enumerate(orb)
+            )
+            out.append(_OrbitStep(x, m, self.config(main2, [tgt for _, tgt in moves]), moves))
         out = tuple(out)
         self._succ[(cfg, pi)] = out
         return out
@@ -463,18 +499,21 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
     # moving circuit: the conjugator equals its own section at a letter u
     # moved by c; the state at (u)c^t is then finitary and determines it
     def moving(i, j):
+        cpi = pair_cpi(i, j)
+        if not cpi:
+            return
         wc, wd = os_a.elements[i].word, os_b.elements[j].word
-        for pi in pair_cpi(i, j):
-            for orb in orbits(sys.root_perm(wc)):
+        # the a side does not depend on pi
+        orbs = [(orb, [sys.power_sections(wc, u) for u in orb]) for orb in space.orbits(ka[i]) if len(orb) > 1]
+        for pi in cpi:
+            for orb, pc in orbs:
                 m = len(orb)
-                if m < 2:
-                    continue
-                pc = [sys.power_sections(wc, u) for u in orb]
                 pd = [sys.power_sections(wd, pi[u]) for u in orb]
                 for pos in range(m):
                     for t in range(1, m):
                         v = (pos + t) % m
-                        cfg_v = space.pair_config(space.key(pc[v][m]), space.key(pd[v][m]))
+                        u = orb[v]
+                        cfg_v = space.pair_config(space.orbit_key(ka[i], u), space.orbit_key(kb[j], pi[u]))
                         if fin.satisfiable(cfg_v) is None:
                             continue
                         g_word = fin.witness_word(cfg_v)

@@ -51,14 +51,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, "%s: error: %s\n" % (self.prog, message))
 
 
-def _depth(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid depth %r" % text) from None
-    if n < 0:
-        raise argparse.ArgumentTypeError("depth must be at least 0, got %d" % n)
-    return n
+def _at_least_zero(name: str, invalid: str = "invalid int value: %r"):
+    """argparse type of an integer option that must be at least 0; the
+    message for a negative value names the option."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(invalid % text) from None
+        if n < 0:
+            raise argparse.ArgumentTypeError("%s must be at least 0, got %d" % (name, n))
+        return n
+
+    return parse
+
+
+_cap = _at_least_zero("cap")
+_depth = _at_least_zero("depth", "invalid depth %r")
 
 
 def _load(path: str) -> tuple[FRSystem, str]:
@@ -312,7 +322,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("w1")
     sp.add_argument("w2")
-    sp.add_argument("--budget", type=int, default=10**6)
+    sp.add_argument("--budget", type=_at_least_zero("budget"), default=10**6)
     sp.set_defaults(func=_cmd_equal)
 
     sp = sub.add_parser("act", parents=[common], help="apply a word to a vertex")
@@ -324,7 +334,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("order", parents=[common], help="order of an element")
     sp.add_argument("file")
     sp.add_argument("word")
-    sp.add_argument("--cap", type=int, default=512)
+    sp.add_argument("--cap", type=_cap, default=512)
     sp.add_argument("--assert-finite", action="store_true",
                     help="treat infinite order as a negative verdict (exit 1)")
     sp.set_defaults(func=_cmd_order)
@@ -337,14 +347,14 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("os", parents=[common], help="orbit-power closure of an element")
     sp.add_argument("file")
     sp.add_argument("word")
-    sp.add_argument("--cap", type=int, default=512)
+    sp.add_argument("--cap", type=_cap, default=512)
     sp.add_argument("--letters", choices=["least", "all"], default="least")
     sp.set_defaults(func=_cmd_os)
 
     sp = sub.add_parser("nucleus", parents=[common], help="nucleus of the generated group")
     sp.add_argument("file")
     sp.add_argument("word")
-    sp.add_argument("--cap", type=int, default=512)
+    sp.add_argument("--cap", type=_cap, default=512)
     sp.set_defaults(func=_cmd_nucleus)
 
     sp = sub.add_parser("graph", parents=[common], help="emit the order or conjugator graph")
@@ -353,7 +363,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("w1")
     sp.add_argument("w2", nargs="?")
     sp.add_argument("--dot", metavar="PATH", help="write DOT here ('-' for stdout)")
-    sp.add_argument("--cap", type=int, default=512)
+    sp.add_argument("--cap", type=_cap, default=512)
     sp.set_defaults(func=_cmd_graph)
 
     sp = sub.add_parser("conjugate", parents=[common], help="decide conjugacy")
@@ -365,7 +375,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--verify-depth", type=_depth, default=10)
     sp.add_argument("--simultaneous", action="store_true",
                     help="w1 and w2 are comma-separated tuples conjugated entrywise by one element")
-    sp.add_argument("--cap", type=int, default=512)
+    sp.add_argument("--cap", type=_cap, default=512)
     sp.set_defaults(func=_cmd_conjugate)
 
     sp = sub.add_parser("representative", parents=[common],

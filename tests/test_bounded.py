@@ -21,8 +21,9 @@ from arboreal import (
     random_bounded,
     verify_conjugator,
 )
-from arboreal.bounded import ConfigSpace, FinSat
-from arboreal.system import merge_into, parse_system
+from arboreal.bounded import ConfigSpace, Configuration, FinSat, _OrbitStep
+from arboreal.perms import orbits
+from arboreal.system import merge_into, parse_system, reduce_word
 
 from conftest import CARRY, ODOMETER, ZOO, one
 from test_identity_corpus import load as load_corpus
@@ -266,6 +267,43 @@ def test_pol0_witness_texts_per_rule(pair, certificate, text):
     assert dec.tag == "conjugate"
     assert dec.certificate == certificate
     assert load_corpus().witness(dec.conjugator) == text
+
+
+def steps_from_definition(space, cfg, pi):
+    """Orbit steps of cfg under pi straight from (a^t * c)|_x =
+    a^t|_x * c|_(x a^t) and x a^t pi = x pi b^t, looking up keys only."""
+    sys, key = space.system, space.interner.lookup
+    wa, wb = space.word(cfg.main[0]), space.word(cfg.main[1])
+    out = []
+    for orb in orbits(sys.root_perm(wa)):
+        x, m = orb[0], len(orb)
+        pa, pb = sys.power_sections(wa, x), sys.power_sections(wb, pi[x])
+        moves = tuple(
+            ((kc, kd), (key(reduce_word(pa[t] + sys.section(space.word(kc), y))),
+                        key(reduce_word(pb[t] + sys.section(space.word(kd), pi[y])))))
+            for kc, kd in cfg.dp
+            for t, y in enumerate(orb)
+        )
+        main = (key(pa[m]), key(pb[m]))
+        out.append(_OrbitStep(x, m, Configuration(main, tuple(sorted({tgt for _, tgt in moves}))), moves))
+    return tuple(out)
+
+
+def test_orbit_steps_match_their_definition():
+    # the space computes each move once and serves it to every root
+    # conjugator and to both sides of the pair; every step of every
+    # explored configuration must still be the one the definition gives
+    several_pi = 0
+    for degree, budget_a, budget_h, seeds in ((2, 4, 3, range(20)), (3, 6, 4, range(10))):
+        for seed in seeds:
+            a, b = planted_pair(seed, degree, budget_a, budget_h)
+            closure = configurations(a, b)
+            assert closure.complete
+            for cfg, branches in closure.universe.items():
+                several_pi += degree == 3 and len(branches) > 1
+                for pi, steps in branches.items():
+                    assert steps == steps_from_definition(closure.space, cfg, pi)
+    assert several_pi >= 1
 
 
 def from_scratch_depths(fin):

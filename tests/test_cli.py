@@ -238,7 +238,6 @@ def test_usage_errors_exit_three(fr, capsys):
     assert cli.main(["equal", path, "nosuch", "e"]) == 3
     assert cli.main(["parse", str(path) + ".missing"]) == 3
     assert cli.main(["act", path, "a", "012"]) == 3
-    assert cli.main(["conjugate", path, "a", "a", "--group", "pol0", "--cap", "-1"]) in (2, 3)
     capsys.readouterr()
 
 
@@ -276,6 +275,31 @@ def test_negative_depths_are_usage_errors(fr, capsys, argv):
     # depth 0 is a depth
     assert cli.main([t if t != "-1" else "0" for t in argv]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, at_zero", [
+    (["order", "a", "--cap", "-1"], "unknown\nreason: closure exceeded cap of 0 elements\n"),
+    (["os", "a", "--cap", "-1"], "exceeded\n0: a\n0 -(2@0)-> 0\n"),
+    (["nucleus", "a", "--cap", "-1"], "unknown\nreason: size cap 0 exceeded\n"),
+    (["graph", "conj", "a", "a^-1", "--cap", "-1"], "0 vertices, 0 roots, exceeded\n"),
+    (["conjugate", "a", "a^-1", "--group", "pol-1", "--cap", "-1"],
+     "unknown\nreason: exceeded: config cap 0\n"),
+    (["conjugate", "a", "a^-1", "--group", "pol0", "--cap", "-1"],
+     "unknown\nreason: orbit-power closure exceeded cap 0\n"),
+    (["equal", "a", "a^-1", "--budget", "-1"], "different\n"),
+])
+def test_negative_caps_and_budgets_are_usage_errors(fr, capsys, argv, at_zero):
+    path = fr(ODOMETER)
+    at = 2 if argv[0] == "graph" else 1
+    argv = argv[:at] + [path] + argv[at:]
+    name = argv[-2].lstrip("-")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 3
+    assert capsys.readouterr().err.endswith("argument --%s: %s must be at least 0, got -1\n" % (name, name))
+    # 0 is accepted and answers as before
+    code, out = run(capsys, *argv[:-1], "0")
+    assert (code, out) == (1 if argv[0] == "equal" else 2, at_zero)
 
 
 def test_unbounded_restricted_input_exits_three(fr, capsys):
