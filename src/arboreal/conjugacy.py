@@ -16,7 +16,7 @@ constraints between different coordinates visible.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .classify import OrbitSignalizer, orbit_signalizer
 from .elements import Element, Exceeded, Interner, _same_system
@@ -55,7 +55,9 @@ class ConjGraph:
 
     edges[v] maps each orbit representative letter of v's first
     component to the list of surviving successor triples; roots are the
-    surviving triples whose pair is the input pair itself.
+    surviving triples whose pair is the input pair itself.  pairs maps
+    each pair (i, j) with a surviving triple to those triples in
+    conjugator order, and the edges share these lists.
     """
 
     os_a: OrbitSignalizer
@@ -64,13 +66,14 @@ class ConjGraph:
     edges: dict
     roots: list
     status: str  # "complete" | "exceeded"
+    pairs: dict = field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
         return self.status == "complete"
 
     def pair_options(self, i: int, j: int) -> list:
-        return [v[2] for v in self.vertices if v[0] == i and v[1] == j]
+        return [v[2] for v in self.pairs.get((i, j), ())]
 
 
 def conj_graph(a: Element, b: Element, cap: int = 512) -> ConjGraph:
@@ -78,9 +81,12 @@ def conj_graph(a: Element, b: Element, cap: int = 512) -> ConjGraph:
 
     The candidates are every triple (i, j, pi) with pi a conjugator of
     the root permutations of the i-th element of a's orbit-power closure
-    and the j-th of b's.  Each orbit of the first component is one group
-    of successor triples, and graphs.surviving keeps the triples whose
-    every orbit leads to a survivor.  Status "exceeded" (and an empty
+    and the j-th of b's.  A triple survives if at each orbit of its first
+    component some triple of the successor pair survives.  So
+    graphs.surviving runs over triples and pair nodes: a triple has one
+    single-member group per orbit, holding its successor's pair node, and
+    a pair node has one group, its triples.  Pair nodes are the 2-tuples
+    (i, j), which no triple equals.  Status "exceeded" (and an empty
     graph) when either closure hits the cap.
     """
     _same_system(a, b)
@@ -95,36 +101,29 @@ def conj_graph(a: Element, b: Element, cap: int = 512) -> ConjGraph:
     succ_b = {(e[0], e[3]): e[2] for e in os_b.edges}
     perm_a = [g.root_perm for g in os_a.elements]
     perm_b = [g.root_perm for g in os_b.elements]
-    cpi: dict[tuple[int, int], tuple] = {}
-
-    def options(i, j):
-        if (i, j) not in cpi:
-            cpi[(i, j)] = conjugators(perm_a[i], perm_b[j])
-        return cpi[(i, j)]
-
-    def vertex_edges(v):
-        i, j, pi = v
-        out = {}
-        for orb in orbits(perm_a[i]):
-            x = orb[0]
-            ti, tj = succ_a[(i, x)], succ_b[(j, pi[x])]
-            out[x] = [(ti, tj, tau) for tau in options(ti, tj)]
-        return out
-
-    candidates = [
-        (i, j, pi)
-        for i in range(len(os_a.elements))
-        for j in range(len(os_b.elements))
-        for pi in options(i, j)
-    ]
-    all_edges = {v: vertex_edges(v) for v in candidates}
-    alive = surviving({v: e.values() for v, e in all_edges.items()})
-    graph.vertices = sorted(alive)
+    reps_a = [[orb[0] for orb in orbits(p)] for p in perm_a]
+    triples: dict = {}
+    groups: dict = {}
+    for i, p in enumerate(perm_a):
+        for j, q in enumerate(perm_b):
+            own = [(i, j, pi) for pi in conjugators(p, q)]
+            if not own:
+                continue
+            triples[(i, j)] = own
+            groups[(i, j)] = (own,)
+            for v in own:
+                pi = v[2]
+                groups[v] = [((succ_a[(i, x)], succ_b[(j, pi[x])]),) for x in reps_a[i]]
+    alive = surviving(groups)
+    for pair, own in triples.items():
+        if pair in alive:
+            graph.pairs[pair] = [v for v in own if v in alive]
+    graph.vertices = [v for live in graph.pairs.values() for v in live]
     graph.edges = {
-        v: {x: [s for s in succs if s in alive] for x, succs in all_edges[v].items()}
+        v: {x: graph.pairs[group[0]] for x, group in zip(reps_a[v[0]], groups[v])}
         for v in graph.vertices
     }
-    graph.roots = [v for v in graph.vertices if v[0] == 0 and v[1] == 0]
+    graph.roots = list(graph.pairs.get((0, 0), ()))
     if not graph.roots and graph.vertices:
         log.info(
             "pruned graph is nonempty but no root pair survives for (%s, %s)", a, b
@@ -373,56 +372,56 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> SimConjGraph:
         return graph
     graph.root_tuple = root_key
 
-    tk_options: dict = {}
+    # discovery: a tuple key met for the first time brings all its
+    # vertices (tk, tau), tau a common root conjugator of its pairs in
+    # conjugator order; the cap bounds them all
+    found: list = []
+    members: dict = {}
 
-    def tuple_options(tk):
-        if tk not in tk_options:
+    def meet(tk) -> bool:
+        if tk not in members:
             opts = None
             for ka, kb in tk:
                 cs = conjugators(sys.root_perm(intern.words[ka]), sys.root_perm(intern.words[kb]))
                 opts = list(cs) if opts is None else [p for p in opts if p in cs]
                 if not opts:
                     break
-            tk_options[tk] = tuple(opts)
-        return tk_options[tk]
+            members[tk] = [(tk, tau) for tau in opts]
+            found.extend(members[tk])
+        return len(found) <= cap
 
-    # discovery: vertex -> {orbit base letter: [successor vertices]};
-    # payload per vertex edge built once, then pruned to fixpoint
-    all_edges: dict = {}
-    candidates = [(root_key, pi) for pi in tuple_options(root_key)]
-    seen = set(candidates)
+    if not meet(root_key):
+        graph.status = "exceeded"
+        return graph
+    # each vertex's orbit edges: (orbit base letter, successor tuple key)
+    succ: dict = {}
     pos = 0
-    while pos < len(candidates):
-        v = candidates[pos]
+    while pos < len(found):
+        v = found[pos]
         pos += 1
         tk, pi = v
         a_words = [intern.words[ka] for ka, _ in tk]
         b_words = [intern.words[kb] for _, kb in tk]
         perms_a = [sys.root_perm(w) for w in a_words]
-        edges = {}
+        out = succ[v] = []
         for orbit_info in _joint_orbits(perms_a, sys.degree):
             pairs = _schreier_pairs(sys, a_words, b_words, perms_a, orbit_info, pi)
             tk2 = tuple_key(pairs)
-            if tk2 is None:
+            if tk2 is None or not meet(tk2):
                 graph.status = "exceeded"
                 return graph
-            succs = [(tk2, tau) for tau in tuple_options(tk2)]
-            edges[orbit_info[0]] = succs
-            for s in succs:
-                if s not in seen:
-                    if len(seen) >= cap:
-                        graph.status = "exceeded"
-                        return graph
-                    seen.add(s)
-                    candidates.append(s)
-        all_edges[v] = edges
-    alive = surviving({v: e.values() for v, e in all_edges.items()})
-    graph.vertices = [v for v in candidates if v in alive]
-    graph.edges = {
-        v: {x: [s for s in succs if s in alive] for x, succs in all_edges[v].items()}
-        for v in graph.vertices
-    }
-    graph.roots = [v for v in graph.vertices if v[0] == root_key]
+            out.append((orbit_info[0], tk2))
+    # survival over vertices and tuple nodes, as in conj_graph: a vertex
+    # needs the tuple node of its successor at each joint orbit, a tuple
+    # node one of its vertices.  Tuple nodes are the 1-tuples (tk,),
+    # which no vertex equals.
+    groups: dict = {v: [((tk2,),) for _, tk2 in out] for v, out in succ.items()}
+    groups.update({(tk,): (own,) for tk, own in members.items() if own})
+    alive = surviving(groups)
+    live = {tk: [v for v in own if v in alive] for tk, own in members.items() if (tk,) in alive}
+    graph.vertices = [v for v in found if v in alive]
+    graph.edges = {v: {x: live[tk2] for x, tk2 in succ[v]} for v in graph.vertices}
+    graph.roots = list(live.get(root_key, ()))
     return graph
 
 

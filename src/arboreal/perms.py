@@ -6,12 +6,14 @@ compose left to right: x^(p*q) = (x^p)^q.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 
 Perm = tuple[int, ...]
 
-# degree above which brute-force enumeration of Sym(X) is refused
-CONJUGATOR_DEGREE_CAP = 8
+# largest centralizer order |C(p)| whose conjugators are enumerated:
+# 8!, so every permutation of degree at most 8 is accepted
+CONJUGATOR_CAP = math.factorial(8)
 
 
 class DegreeTooLarge(ValueError):
@@ -67,18 +69,64 @@ def orbits(p: Perm) -> list[tuple[int, ...]]:
 def conjugators(p: Perm, q: Perm) -> tuple[Perm, ...]:
     """All r with r^-1 * p * r == q, in lexicographic image order.
 
-    Brute force over Sym(d); refuses degrees above CONJUGATOR_DEGREE_CAP.
+    Such an r maps each cycle (x, xp, xp^2, ...) of p onto a cycle
+    (y, yq, yq^2, ...) of q of the same length, y the image of x.  The
+    cycles of p are matched in order of least letter, each to an unused
+    cycle of q, trying y in increasing order; so each conjugator comes
+    out once, already in lexicographic order, at a cost of about
+    |C(p)| * d instead of d!.  |C(p)| = prod k^m_k * m_k! is the order
+    of the centralizer of p, m_k its number of k-cycles.  Raises
+    DegreeTooLarge when q has the cycle type of p and |C(p)| exceeds
+    CONJUGATOR_CAP; other cycle types give ().
+
+    A plain function around a memo on (p, q), so that call-counting
+    wrappers such as the bench tracer see every call.
     """
+    return _conjugators(p, q)
+
+
+@functools.lru_cache(maxsize=4096)
+def _conjugators(p: Perm, q: Perm) -> tuple[Perm, ...]:
     d = len(p)
     if d != len(q):
         raise ValueError("degree mismatch")
-    if d > CONJUGATOR_DEGREE_CAP:
-        raise DegreeTooLarge("degree %d exceeds enumeration cap %d" % (d, CONJUGATOR_DEGREE_CAP))
+    cycles, targets = orbits(p), orbits(q)
+    lengths = sorted(map(len, cycles))
+    if lengths != sorted(map(len, targets)):
+        return ()
+    size = 1
+    for k in set(lengths):
+        m = lengths.count(k)
+        size *= k**m * math.factorial(m)
+    if size > CONJUGATOR_CAP:
+        raise DegreeTooLarge(
+            "%d conjugators at degree %d exceed enumeration cap %d" % (size, d, CONJUGATOR_CAP))
+    # per cycle length: each letter y on a cycle of q of that length, with
+    # the index of its cycle and the cycle read from y, by increasing y
+    starts: dict = {}
+    for n, c in enumerate(targets):
+        for s in range(len(c)):
+            starts.setdefault(len(c), []).append((c[s], n, c[s:] + c[:s]))
+    for row in starts.values():
+        row.sort()
+    r = [0] * d
+    used = [False] * len(targets)
     found = []
-    for r in itertools.permutations(range(d)):
-        # x^(r^-1 p r) == q[x]  <=>  p r == r q pointwise
-        if all(r[p[x]] == q[r[x]] for x in range(d)):
-            found.append(r)
+
+    def match(k):
+        if k == len(cycles):
+            found.append(tuple(r))
+            return
+        cyc = cycles[k]
+        for _, n, image in starts[len(cyc)]:
+            if not used[n]:
+                used[n] = True
+                for x, z in zip(cyc, image):
+                    r[x] = z
+                match(k + 1)
+                used[n] = False
+
+    match(0)
     return tuple(found)
 
 

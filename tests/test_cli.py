@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from arboreal import cli
+from arboreal import Element, cli, emit_dot, inverse, multiply, sim_conj_graph
+from arboreal.system import parse_system
 
 from conftest import BRANCH, CARRY, ODOMETER, TWISTED, ZOO
 
@@ -126,6 +127,63 @@ def test_graph_conj_dot_golden(fr, capsys):
     node_lines = [l for l in body.splitlines() if "label=" in l and "->" not in l]
     assert len(node_lines) == 2
     assert "n2" not in body
+
+
+# CARRY p q: the root pair keeps one of its two triples, so the golden
+# pins which vertices and edges pruning removes and their order
+CONJ_GRAPH_CARRY_P_Q = (
+    '5 vertices, 1 roots, complete\n'
+    'digraph conjugator_graph {\n'
+    '  rankdir=LR;\n'
+    '  n0 [label="(p, q, [1 0])", peripheries=2];\n'
+    '  n1 [label="(s, s, [0 1])"];\n'
+    '  n2 [label="(s, s, [1 0])"];\n'
+    '  n3 [label="(e, e, [0 1])"];\n'
+    '  n4 [label="(e, e, [1 0])"];\n'
+    '  n0 -> n1 [label="0"];\n'
+    '  n0 -> n2 [label="0"];\n'
+    '  n0 -> n0 [label="1"];\n'
+    '  n1 -> n3 [label="0"];\n'
+    '  n1 -> n4 [label="0"];\n'
+    '  n2 -> n3 [label="0"];\n'
+    '  n2 -> n4 [label="0"];\n'
+    '  n3 -> n3 [label="0,1"];\n'
+    '  n3 -> n4 [label="0,1"];\n'
+    '  n4 -> n3 [label="0,1"];\n'
+    '  n4 -> n4 [label="0,1"];\n'
+    '}\n'
+)
+
+
+def test_graph_conj_dot_golden_with_pruned_vertices(fr, capsys):
+    path = fr(CARRY)
+    code, out = run(capsys, "graph", "conj", path, "p", "q", "--dot", "-")
+    assert code == 0
+    assert out == CONJ_GRAPH_CARRY_P_Q
+
+
+# the tuple graph of (p, s) and its conjugate by q in CARRY: 8 vertices
+# found, 4 survive
+SIM_GRAPH_CARRY_P_S = (
+    'digraph simultaneous_conjugator_graph {\n'
+    '  rankdir=LR;\n'
+    '  n0 [label="[(p, q^-1*p*q), (s, q^-1*s*q)] [0 1]", peripheries=2];\n'
+    '  n1 [label="[(s, q^-1*s*q), (p, q^-1*p*q), (e, e)] [0 1]"];\n'
+    '  n2 [label="[(s, q^-1*s*q), (e, e), (p, q^-1*p*q)] [0 1]"];\n'
+    '  n3 [label="[(e, e), (s, q^-1*s*q), (p, q^-1*p*q)] [0 1]"];\n'
+    '  n0 -> n1 [label="0"];\n'
+    '  n1 -> n2 [label="0"];\n'
+    '  n2 -> n3 [label="0"];\n'
+    '  n3 -> n3 [label="0"];\n'
+    '}\n'
+)
+
+
+def test_simultaneous_graph_dot_golden():
+    sys = parse_system(CARRY)
+    gs, h = [Element.parse(sys, "p"), Element.parse(sys, "s")], Element.parse(sys, "q")
+    targets = [multiply(multiply(inverse(h), g), h) for g in gs]
+    assert emit_dot(sim_conj_graph(gs, targets)) == SIM_GRAPH_CARRY_P_S
 
 
 def test_graph_dot_writes_files(fr, capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from arboreal import (
     DegreeTooLarge,
     Element,
+    Exceeded,
     all_basic_conjugators,
     basic_conjugator,
     canonical_representative,
@@ -23,10 +24,15 @@ from arboreal import (
     sim_conj_graph,
     verify_conjugator,
 )
+from arboreal.classify import orbit_signalizer
+from arboreal.conjugacy import _joint_orbits, _schreier_pairs
+from arboreal.elements import Interner
 from arboreal.graphs import surviving
-from arboreal.system import parse_system
+from arboreal.oracle import random_bounded
+from arboreal.perms import orbits
+from arboreal.system import merge_into, parse_system
 
-from conftest import BRANCH, TWISTED, one
+from conftest import BRANCH, CARRY, TWISTED, one
 from test_identity_corpus import load as load_corpus
 
 
@@ -225,3 +231,183 @@ def test_root_permutation_conjugator_enumeration():
     assert conjugators((1, 0), (0, 1)) == ()
     with pytest.raises(DegreeTooLarge):
         conjugators(tuple(range(9)), tuple(range(9)))
+
+
+# -- the triple-level graphs, as built before pair-level survival ---------------
+
+
+def reference_conj_graph(a, b, cap=512):
+    """(vertices, edges, roots) of the pruned conjugator graph, or None
+    when a closure exceeds the cap.  Every candidate triple lists, per
+    orbit of its first component, all triples of its successor pair, and
+    survival runs over triples alone."""
+    os_a = orbit_signalizer(a, cap, letters="all")
+    os_b = orbit_signalizer(b, cap, letters="all")
+    if not (os_a.complete and os_b.complete):
+        return None
+    succ_a = {(e[0], e[3]): e[2] for e in os_a.edges}
+    succ_b = {(e[0], e[3]): e[2] for e in os_b.edges}
+    perm_a = [g.root_perm for g in os_a.elements]
+    perm_b = [g.root_perm for g in os_b.elements]
+
+    def triples(i, j):
+        return [(i, j, pi) for pi in conjugators(perm_a[i], perm_b[j])]
+
+    all_edges = {}
+    for i in range(len(perm_a)):
+        for j in range(len(perm_b)):
+            for v in triples(i, j):
+                pi = v[2]
+                all_edges[v] = {
+                    orb[0]: triples(succ_a[(i, orb[0])], succ_b[(j, pi[orb[0]])])
+                    for orb in orbits(perm_a[i])
+                }
+    alive = surviving({v: e.values() for v, e in all_edges.items()})
+    vertices = sorted(alive)
+    edges = {
+        v: {x: [s for s in succs if s in alive] for x, succs in all_edges[v].items()}
+        for v in vertices
+    }
+    return vertices, edges, [v for v in vertices if v[:2] == (0, 0)]
+
+
+def reference_sim_conj_graph(as_, bs):
+    """(vertices, edges, roots, number of vertices found) of the tuple
+    graph without a cap, each orbit edge listing every vertex of its
+    successor tuple, or None when a word comparison runs out of budget."""
+    sys = as_[0].system
+    intern = Interner(sys)
+
+    def tuple_key(pairs):
+        keys = []
+        for wa, wb in pairs:
+            k = (intern.key(wa), intern.key(wb))
+            if isinstance(k[0], Exceeded) or isinstance(k[1], Exceeded):
+                return None
+            if k not in keys:
+                keys.append(k)
+        return tuple(keys)
+
+    def options(tk):
+        opts = None
+        for ka, kb in tk:
+            cs = conjugators(sys.root_perm(intern.words[ka]), sys.root_perm(intern.words[kb]))
+            opts = list(cs) if opts is None else [p for p in opts if p in cs]
+        return [(tk, tau) for tau in opts]
+
+    root = tuple_key([(a.word, b.word) for a, b in zip(as_, bs)])
+    found = options(root)
+    seen = set(found)
+    all_edges = {}
+    pos = 0
+    while pos < len(found):
+        v = found[pos]
+        pos += 1
+        tk, pi = v
+        a_words = [intern.words[ka] for ka, _ in tk]
+        b_words = [intern.words[kb] for _, kb in tk]
+        perms_a = [sys.root_perm(w) for w in a_words]
+        all_edges[v] = {}
+        for info in _joint_orbits(perms_a, sys.degree):
+            tk2 = tuple_key(_schreier_pairs(sys, a_words, b_words, perms_a, info, pi))
+            if tk2 is None:
+                return None
+            all_edges[v][info[0]] = succs = options(tk2)
+            for s in succs:
+                if s not in seen:
+                    seen.add(s)
+                    found.append(s)
+    alive = surviving({v: e.values() for v, e in all_edges.items()})
+    vertices = [v for v in found if v in alive]
+    edges = {
+        v: {x: [s for s in succs if s in alive] for x, succs in all_edges[v].items()}
+        for v in vertices
+    }
+    return vertices, edges, [v for v in vertices if v[0] == root], len(found)
+
+
+def random_pairs():
+    """Builders of (a, b) on fresh random bounded systems of degrees 2-5:
+    (g, g^-1) and (g, f) for the last symbol g and the first f."""
+    for d in (2, 3, 4, 5):
+        for k in range(6):
+            def build(k=k, d=d, inverted=True):
+                sys = random_bounded(k, 6, d)
+                g = one(sys, sys.symbols[-1])
+                return g, inverse(g) if inverted else one(sys, sys.symbols[0])
+            yield build
+            yield lambda build=build: build(inverted=False)
+
+
+def planted_tuples():
+    """Builders of ([g, f], [g^h, f^h]) with a planted finite-state h, on
+    random bounded systems of degrees 2-5 and on the CARRY fixture."""
+    for d in (2, 3, 4, 5):
+        for k in range(0, 12, 3):
+            def build(k=k, d=d):
+                sys = random_bounded(k, 6, d)
+                other = random_bounded(1000 + k, 3, d)
+                h = one(sys, merge_into(sys, other)[other.symbols[-1]])
+                gs = [one(sys, sys.symbols[-1]), one(sys, sys.symbols[0])]
+                return gs, [multiply(multiply(inverse(h), g), h) for g in gs]
+            yield build
+
+    def carry():
+        sys = parse_system(CARRY)
+        gs, h = [one(sys, "p"), one(sys, "s")], one(sys, "q")
+        return gs, [multiply(multiply(inverse(h), g), h) for g in gs]
+
+    yield carry
+
+
+def test_pair_level_graph_matches_the_triple_level_reference():
+    complete = 0
+    for build in random_pairs():
+        graph = conj_graph(*build(), cap=32)
+        ref = reference_conj_graph(*build(), cap=32)
+        assert graph.complete == (ref is not None)
+        if ref is None:
+            continue
+        complete += 1
+        vertices, edges, roots = ref
+        assert graph.vertices == vertices
+        assert graph.roots == roots
+        assert list(graph.edges) == vertices
+        assert [list(graph.edges[v].items()) for v in vertices] == [list(edges[v].items()) for v in vertices]
+        for i, j, pi in vertices:
+            assert pi in graph.pair_options(i, j)
+        assert graph.pair_options(len(graph.os_a.elements), 0) == []
+    assert complete >= 40
+
+
+def test_tuple_node_graph_matches_the_vertex_level_reference():
+    for build in planted_tuples():
+        graph = sim_conj_graph(*build(), cap=10**6)
+        vertices, edges, roots, _ = reference_sim_conj_graph(*build())
+        assert graph.complete
+        assert graph.vertices == vertices
+        assert graph.roots == roots
+        assert list(graph.edges) == vertices
+        assert [list(graph.edges[v].items()) for v in vertices] == [list(edges[v].items()) for v in vertices]
+
+
+def test_the_tuple_cap_bounds_every_vertex_found():
+    # a tuple graph is complete exactly when all the vertices it finds,
+    # the roots included, fit under the cap
+    for build in planted_tuples():
+        found = reference_sim_conj_graph(*build())[3]
+        for cap in sorted({0, 1, found - 1, found, found + 1}):
+            if cap < 0:
+                continue
+            graph = sim_conj_graph(*build(), cap=cap)
+            assert graph.complete == (found <= cap), (cap, found)
+            if graph.complete:
+                assert len(graph.vertices) <= cap
+
+
+def test_a_one_tuple_at_cap_zero_is_unknown_like_the_pair(odometer):
+    _, a = odometer
+    assert conjugate_in_aut(a, inverse(a), cap=0).tag == "unknown"
+    dec = conjugate_in_aut_simultaneous([a], [inverse(a)], cap=0)
+    assert dec.tag == "unknown"
+    assert dec.reason == "tuple graph exceeded cap 0"
