@@ -1,12 +1,17 @@
 """Conjugacy of tree automorphisms.
 
-The decision works on a finite graph: vertices pair up elements of the
-two orbit-power closures together with a root conjugator candidate, and
-a vertex survives only if every orbit of its first component can be
-followed to a surviving vertex.  Conjugators are then read off a
-subgraph that keeps one permutation per surviving pair; the recursion
-for their sections never needs backtracking because pruning leaves
-edges into every surviving successor.
+The decision works on a finite graph.  A node pairs up a section of the
+input with one of the target: a closure pair (i, j) of the two
+orbit-power closures, or, for simultaneous conjugacy, a 1-tuple (tk,)
+of a tuple key of interned section-word pairs.  A vertex is a node with
+a root conjugator candidate pi appended.  One engine, `_prune`,
+discovers the nodes reachable from the input's node and keeps a vertex
+only if every orbit of its first component can be followed to a
+surviving vertex; nodes that the input cannot reach never affect the
+answer.  One walk, `_synthesize`, then reads conjugators off a subgraph
+that keeps one permutation per surviving node; the recursion for their
+sections never needs backtracking because pruning leaves edges into
+every surviving successor.
 
 Simultaneous conjugacy of tuples runs the same game with Schreier
 generators of the joint stabilizer of each orbit, which is what makes
@@ -46,53 +51,97 @@ def _orbit_sections(sys: FRSystem, wc: Word, wd: Word, pi: Perm, fills) -> list:
     return sections
 
 
-# -- the pair graph ------------------------------------------------------------
+# -- the conjugator graph ------------------------------------------------------
 
 
 @dataclass(eq=False)
 class ConjGraph:
-    """Surviving triples (i, j, pi) over the two orbit-power closures.
+    """Surviving vertices of a conjugator graph, discovered from root.
 
-    edges[v] maps each orbit representative letter of v's first
-    component to the list of surviving successor triples; roots are the
-    surviving triples whose pair is the input pair itself.  pairs maps
-    each pair (i, j) with a surviving triple to those triples in
-    conjugator order, and the edges share these lists.
+    A node is a closure pair (i, j) or a 1-tuple (tk,) of a tuple key,
+    and a vertex is a node with a root conjugator pi appended, so no
+    node equals a vertex.  edges[v] maps each orbit letter of v to the
+    surviving vertices of its successor node; roots are the surviving
+    vertices of root.  pairs maps each node with a surviving vertex,
+    in discovery order, to those vertices in conjugator order, and the
+    edges share these lists.  os_a and os_b are the two orbit-power
+    closures of a pair graph, None in a tuple graph.
     """
 
-    os_a: OrbitSignalizer
-    os_b: OrbitSignalizer
-    vertices: list
-    edges: dict
-    roots: list
-    status: str  # "complete" | "exceeded"
+    root: tuple
+    interner: Interner
+    os_a: OrbitSignalizer | None = None
+    os_b: OrbitSignalizer | None = None
+    vertices: list = field(default_factory=list)
+    edges: dict = field(default_factory=dict)
+    roots: list = field(default_factory=list)
+    status: str = "complete"  # "complete" | "exceeded"
     pairs: dict = field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
         return self.status == "complete"
 
-    def pair_options(self, i: int, j: int) -> list:
-        return [v[2] for v in self.pairs.get((i, j), ())]
+    def pair_options(self, *node) -> list:
+        return [v[-1] for v in self.pairs.get(node, ())]
+
+
+def _prune(graph: ConjGraph, expand, cap: int | None = None) -> ConjGraph:
+    """Discover the nodes reachable from graph.root and fill in the
+    surviving vertices, edges, pairs and roots.
+
+    expand(node) is called once per node, in breadth-first order, and
+    returns the node's vertices in conjugator order, its orbit letters
+    and, per vertex, its successor node at each letter; or None when a
+    word comparison runs out of budget.  graphs.surviving runs over
+    vertices and nodes: a vertex has one single-member group per
+    letter, holding its successor node, and a node has one group, its
+    vertices.  Status "exceeded" (and an empty graph) when expand gives
+    up or the vertices found, roots included, number more than cap.
+    """
+    order = [graph.root]
+    seen = {graph.root}
+    succ: dict = {}
+    groups: dict = {}
+    found = 0
+    for node in order:
+        out = expand(node)
+        found += len(out[0]) if out else 0
+        if out is None or (cap is not None and found > cap):
+            graph.status = "exceeded"
+            return graph
+        vertices, letters, rows = out
+        groups[node] = (vertices,)
+        for v, row in zip(vertices, rows):
+            succ[v] = (letters, row)
+            groups[v] = [(s,) for s in row]
+            for s in row:
+                if s not in seen:
+                    seen.add(s)
+                    order.append(s)
+    alive = surviving(groups)
+    graph.pairs = {n: [v for v in groups[n][0] if v in alive] for n in order if n in alive}
+    graph.vertices = [v for live in graph.pairs.values() for v in live]
+    graph.edges = {v: {x: graph.pairs[s] for x, s in zip(*succ[v])} for v in graph.vertices}
+    graph.roots = list(graph.pairs.get(graph.root, ()))
+    return graph
 
 
 def conj_graph(a: Element, b: Element, cap: int = 512) -> ConjGraph:
     """Pruned conjugator graph of (a, b) over the full group.
 
-    The candidates are every triple (i, j, pi) with pi a conjugator of
-    the root permutations of the i-th element of a's orbit-power closure
-    and the j-th of b's.  A triple survives if at each orbit of its first
-    component some triple of the successor pair survives.  So
-    graphs.surviving runs over triples and pair nodes: a triple has one
-    single-member group per orbit, holding its successor's pair node, and
-    a pair node has one group, its triples.  Pair nodes are the 2-tuples
-    (i, j), which no triple equals.  Status "exceeded" (and an empty
-    graph) when either closure hits the cap.
+    Nodes are the pairs (i, j) of indices into a's and b's orbit-power
+    closures that are reachable from (0, 0), and the vertices of a node
+    are the triples (i, j, pi) with pi a conjugator of the root
+    permutations of the two elements.  At the least letter x of each
+    orbit of the i-th element, (i, j, pi) leads to the pair of the
+    orbit-power sections at x and at x pi.  Status "exceeded" (and an
+    empty graph) when either closure hits the cap.
     """
     _same_system(a, b)
     os_a = orbit_signalizer(a, cap, letters="all")
     os_b = orbit_signalizer(b, cap, letters="all")
-    graph = ConjGraph(os_a, os_b, [], {}, [], "complete")
+    graph = ConjGraph((0, 0), os_a.interner, os_a, os_b)
     if not (os_a.complete and os_b.complete):
         graph.status = "exceeded"
         return graph
@@ -102,32 +151,17 @@ def conj_graph(a: Element, b: Element, cap: int = 512) -> ConjGraph:
     perm_a = [g.root_perm for g in os_a.elements]
     perm_b = [g.root_perm for g in os_b.elements]
     reps_a = [[orb[0] for orb in orbits(p)] for p in perm_a]
-    triples: dict = {}
-    groups: dict = {}
-    for i, p in enumerate(perm_a):
-        for j, q in enumerate(perm_b):
-            own = [(i, j, pi) for pi in conjugators(p, q)]
-            if not own:
-                continue
-            triples[(i, j)] = own
-            groups[(i, j)] = (own,)
-            for v in own:
-                pi = v[2]
-                groups[v] = [((succ_a[(i, x)], succ_b[(j, pi[x])]),) for x in reps_a[i]]
-    alive = surviving(groups)
-    for pair, own in triples.items():
-        if pair in alive:
-            graph.pairs[pair] = [v for v in own if v in alive]
-    graph.vertices = [v for live in graph.pairs.values() for v in live]
-    graph.edges = {
-        v: {x: graph.pairs[group[0]] for x, group in zip(reps_a[v[0]], groups[v])}
-        for v in graph.vertices
-    }
-    graph.roots = list(graph.pairs.get((0, 0), ()))
+
+    def expand(node):
+        i, j = node
+        reps = reps_a[i]
+        vertices = [(i, j, pi) for pi in conjugators(perm_a[i], perm_b[j])]
+        rows = [[(succ_a[(i, x)], succ_b[(j, v[2][x])]) for x in reps] for v in vertices]
+        return vertices, reps, rows
+
+    _prune(graph, expand)
     if not graph.roots and graph.vertices:
-        log.info(
-            "pruned graph is nonempty but no root pair survives for (%s, %s)", a, b
-        )
+        log.info("pruned graph is nonempty but no root pair survives for (%s, %s)", a, b)
     return graph
 
 
@@ -143,125 +177,17 @@ class ConjDecision:
         return self.tag == "conjugate"
 
 
-def conjugate_in_aut(a: Element, b: Element, cap: int = 512) -> ConjDecision:
-    graph = conj_graph(a, b, cap)
+def _decide(graph: ConjGraph, unknown: str, negative: str) -> ConjDecision:
     if not graph.complete:
-        return ConjDecision("unknown", graph, reason="orbit-power closure exceeded cap %d" % cap)
+        return ConjDecision("unknown", graph, reason=unknown)
     if graph.roots:
         return ConjDecision("conjugate", graph, roots=graph.roots)
-    return ConjDecision(
-        "not_conjugate", graph, roots=[], reason="no root vertex survives pruning"
-    )
+    return ConjDecision("not_conjugate", graph, roots=[], reason=negative)
 
 
-# -- conjugator synthesis -------------------------------------------------------
-
-
-@dataclass(eq=False)
-class ConjugatorFR:
-    """A conjugator presented by wreath recursions appended to the input
-    system: one symbol per reachable pair of the chosen subgraph."""
-
-    system: FRSystem
-    root: str
-    assignments: tuple  # ((i, j, pi, symbol name), ...)
-
-    @property
-    def element(self) -> Element:
-        return Element.symbol(self.system, self.root)
-
-    def text(self) -> str:
-        return format_system(self.system, roots=[self.root])
-
-    def __str__(self):
-        return self.root
-
-
-def _policy_fn(policy):
-    if policy == "least":
-        return lambda pair, opts: opts[0]
-    if policy == "greatest":
-        return lambda pair, opts: opts[-1]
-    if callable(policy):
-        return policy
-    raise ValueError("policy must be 'least', 'greatest', or callable")
-
-
-def _synthesize(graph: ConjGraph, choose) -> ConjugatorFR:
-    sys = graph.os_a.interner.system
-    assign: dict = {}
-
-    def successors(pair):
-        # the permutation of a pair is chosen when the walk reaches it;
-        # every successor of one orbit in the pruned edges has one pair
-        opts = graph.pair_options(*pair)
-        pi = assign[pair] = choose(pair, opts)
-        if pi not in opts:
-            raise ValueError("policy chose a pruned permutation %r for pair %r" % (pi, pair))
-        return [succs[0][:2] for succs in graph.edges[(*pair, pi)].values()]
-
-    order = breadth_first((0, 0), successors)
-    names = dict(zip(order, sys.fresh_names(["h" if p == (0, 0) else "g" for p in order])))
-    for i, j in order:
-        pi = assign[(i, j)]
-        fills = [(x, ((names[succs[0][:2]], 1),)) for x, succs in graph.edges[(i, j, pi)].items()]
-        sys.define(names[(i, j)], pi, _orbit_sections(
-            sys, graph.os_a.elements[i].word, graph.os_b.elements[j].word, pi, fills))
-    sys.validate()
-    return ConjugatorFR(
-        sys,
-        names[(0, 0)],
-        tuple((i, j, assign[(i, j)], names[(i, j)]) for i, j in order),
-    )
-
-
-def basic_conjugator(graph: ConjGraph, policy="least") -> ConjugatorFR:
-    """Conjugator from the subgraph fixing one permutation per pair.
-
-    The default policy takes the least surviving permutation of each
-    pair in image-tuple order; 'greatest' takes the last; a callable
-    receives (pair, options) and must return one of the options.
-    """
-    if not graph.roots:
-        raise ValueError("graph has no surviving root vertex")
-    return _synthesize(graph, _policy_fn(policy))
-
-
-def all_basic_conjugators(graph: ConjGraph, limit: int = 64) -> list:
-    """Every one-permutation-per-pair subgraph choice, in lexicographic
-    order of the choices along pair discovery order."""
-    if not graph.roots:
-        return []
-    out: list = []
-
-    def rec(assign):
-        if len(out) >= limit:
-            return
-        def successors(p):
-            # an unassigned pair ends the walk there; the first one met
-            # is the next to branch on
-            if p not in assign:
-                return ()
-            return [succs[0][:2] for succs in graph.edges[(*p, assign[p])].values()]
-
-        pair = next((p for p in breadth_first((0, 0), successors) if p not in assign), None)
-        if pair is None:
-            out.append(_synthesize(graph, lambda p, opts: assign[p]))
-            return
-        for pi in graph.pair_options(*pair):
-            rec({**assign, pair: pi})
-
-    rec({})
-    return out
-
-
-def expand_to_finite_state(h, budget: int = 10**5):
-    """Minimal machine of a synthesized conjugator, when it is finite
-    state within the budget."""
-    from .elements import minimize
-
-    elem = getattr(h, "element", h)
-    return minimize(elem, budget)
+def conjugate_in_aut(a: Element, b: Element, cap: int = 512) -> ConjDecision:
+    return _decide(conj_graph(a, b, cap), "orbit-power closure exceeded cap %d" % cap,
+                   "no root vertex survives pruning")
 
 
 # -- simultaneous conjugacy -----------------------------------------------------
@@ -327,31 +253,33 @@ def _schreier_pairs(sys, a_words, b_words, perms_a, orbit_info, pi):
     return pairs
 
 
-@dataclass(eq=False)
-class SimConjGraph:
-    """Reachable tuple vertices for simultaneous conjugacy: a vertex is
-    (pair-key tuple, pi) and its edges follow joint orbits."""
-
-    interner: Interner
-    vertices: list
-    edges: dict
-    roots: list
-    status: str
-    root_tuple: tuple = ()
-
-    @property
-    def complete(self) -> bool:
-        return self.status == "complete"
+def _tuple_words(graph: ConjGraph, node):
+    """The a-side and b-side words of a tuple node, and the root
+    permutations of the a-side."""
+    (tk,) = node
+    sys, words = graph.interner.system, graph.interner.words
+    a_words = [words[ka] for ka, _ in tk]
+    return a_words, [words[kb] for _, kb in tk], [sys.root_perm(w) for w in a_words]
 
 
-def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> SimConjGraph:
+def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> ConjGraph:
+    """Pruned conjugator graph of the tuples as_ and bs.
+
+    Nodes are the 1-tuples (tk,) reachable from the input's, tk a tuple
+    key: the distinct pairs of interner keys of the section words that
+    must be conjugate by one section of the conjugator.  The vertices
+    of a node are (tk, tau), tau a common root conjugator of its pairs,
+    and at the least letter of each joint orbit of the a-side a vertex
+    leads to the tuple of its Schreier constraint pairs.  Status
+    "exceeded" (and an empty graph) when a word comparison runs out of
+    budget or more than cap vertices are found.
+    """
     if len(as_) != len(bs) or not as_:
         raise ValueError("need equally many source and target elements")
     sys = as_[0].system
     for g in list(as_) + list(bs):
         _same_system(as_[0], g)
     intern = Interner(sys)
-    graph = SimConjGraph(intern, [], {}, [], "complete")
 
     def tuple_key(pairs):
         keys = []
@@ -367,121 +295,181 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> SimConjGraph:
         return tuple(keys)
 
     root_key = tuple_key([(a.word, b.word) for a, b in zip(as_, bs)])
+    graph = ConjGraph((root_key,), intern)
     if root_key is None:
         graph.status = "exceeded"
         return graph
-    graph.root_tuple = root_key
 
-    # discovery: a tuple key met for the first time brings all its
-    # vertices (tk, tau), tau a common root conjugator of its pairs in
-    # conjugator order; the cap bounds them all
-    found: list = []
-    members: dict = {}
+    def expand(node):
+        a_words, b_words, perms_a = _tuple_words(graph, node)
+        opts = None
+        for p, wb in zip(perms_a, b_words):
+            cs = conjugators(p, sys.root_perm(wb))
+            opts = list(cs) if opts is None else [tau for tau in opts if tau in cs]
+            if not opts:
+                return [], [], []
+        joint = _joint_orbits(perms_a, sys.degree)
+        rows = []
+        for pi in opts:
+            row = [tuple_key(_schreier_pairs(sys, a_words, b_words, perms_a, info, pi)) for info in joint]
+            if None in row:
+                return None
+            rows.append([(tk2,) for tk2 in row])
+        return [node + (pi,) for pi in opts], [info[0] for info in joint], rows
 
-    def meet(tk) -> bool:
-        if tk not in members:
-            opts = None
-            for ka, kb in tk:
-                cs = conjugators(sys.root_perm(intern.words[ka]), sys.root_perm(intern.words[kb]))
-                opts = list(cs) if opts is None else [p for p in opts if p in cs]
-                if not opts:
-                    break
-            members[tk] = [(tk, tau) for tau in opts]
-            found.extend(members[tk])
-        return len(found) <= cap
-
-    if not meet(root_key):
-        graph.status = "exceeded"
-        return graph
-    # each vertex's orbit edges: (orbit base letter, successor tuple key)
-    succ: dict = {}
-    pos = 0
-    while pos < len(found):
-        v = found[pos]
-        pos += 1
-        tk, pi = v
-        a_words = [intern.words[ka] for ka, _ in tk]
-        b_words = [intern.words[kb] for _, kb in tk]
-        perms_a = [sys.root_perm(w) for w in a_words]
-        out = succ[v] = []
-        for orbit_info in _joint_orbits(perms_a, sys.degree):
-            pairs = _schreier_pairs(sys, a_words, b_words, perms_a, orbit_info, pi)
-            tk2 = tuple_key(pairs)
-            if tk2 is None or not meet(tk2):
-                graph.status = "exceeded"
-                return graph
-            out.append((orbit_info[0], tk2))
-    # survival over vertices and tuple nodes, as in conj_graph: a vertex
-    # needs the tuple node of its successor at each joint orbit, a tuple
-    # node one of its vertices.  Tuple nodes are the 1-tuples (tk,),
-    # which no vertex equals.
-    groups: dict = {v: [((tk2,),) for _, tk2 in out] for v, out in succ.items()}
-    groups.update({(tk,): (own,) for tk, own in members.items() if own})
-    alive = surviving(groups)
-    live = {tk: [v for v in own if v in alive] for tk, own in members.items() if (tk,) in alive}
-    graph.vertices = [v for v in found if v in alive]
-    graph.edges = {v: {x: live[tk2] for x, tk2 in succ[v]} for v in graph.vertices}
-    graph.roots = list(live.get(root_key, ()))
-    return graph
+    return _prune(graph, expand, cap)
 
 
 def conjugate_in_aut_simultaneous(as_: list, bs: list, cap: int = 1024) -> ConjDecision:
-    graph = sim_conj_graph(as_, bs, cap)
-    if not graph.complete:
-        return ConjDecision("unknown", graph, reason="tuple graph exceeded cap %d" % cap)
-    if graph.roots:
-        return ConjDecision("conjugate", graph, roots=graph.roots)
-    return ConjDecision(
-        "not_conjugate", graph, roots=[], reason="no root tuple vertex survives pruning"
-    )
+    return _decide(sim_conj_graph(as_, bs, cap), "tuple graph exceeded cap %d" % cap,
+                   "no root tuple vertex survives pruning")
 
 
-def sim_basic_conjugator(graph: SimConjGraph, policy="least") -> ConjugatorFR:
-    """Conjugator synthesis over the tuple graph, one permutation per
-    reachable tuple."""
+# -- conjugator synthesis -------------------------------------------------------
+
+
+@dataclass(eq=False)
+class ConjugatorFR:
+    """A conjugator presented by wreath recursions appended to the input
+    system: one symbol per reachable node of the chosen subgraph."""
+
+    system: FRSystem
+    root: str
+    assignments: tuple  # ((*node, pi, symbol name), ...)
+
+    @property
+    def element(self) -> Element:
+        return Element.symbol(self.system, self.root)
+
+    def text(self) -> str:
+        return format_system(self.system, roots=[self.root])
+
+    def __str__(self):
+        return self.root
+
+
+def _policy_fn(policy):
+    if policy == "least":
+        return lambda node, opts: opts[0]
+    if policy == "greatest":
+        return lambda node, opts: opts[-1]
+    if callable(policy):
+        return policy
+    raise ValueError("policy must be 'least', 'greatest', or callable")
+
+
+def _pair_sections(graph: ConjGraph, node, pi: Perm, fills) -> list:
+    """_orbit_sections of a pair node (i, j): from the i-th element of
+    a's closure to the j-th of b's."""
+    a, b = graph.os_a.elements[node[0]], graph.os_b.elements[node[1]]
+    return _orbit_sections(graph.interner.system, a.word, b.word, pi, fills)
+
+
+def _tuple_sections(graph: ConjGraph, node, pi: Perm, fills) -> list:
+    """Sections of a conjugator of a tuple node with root permutation pi.
+
+    fills holds (y0, wit) for the least letter y0 of each joint orbit,
+    with h|_y0 = wit.  Each other letter y of the orbit, the image of y0
+    under the transversal word u of y, gets
+    h|_y = (u_a|_y0)^-1 * wit * u_b|_(y0 pi).
+    """
+    sys = graph.interner.system
+    a_words, b_words, perms_a = _tuple_words(graph, node)
+    sections: list = [EMPTY] * sys.degree
+    for (y0, orb, words), (_, wit) in zip(_joint_orbits(perms_a, sys.degree), fills):
+        sections[y0] = wit
+        for y in orb:
+            if y == y0:
+                continue
+            ua = _eval_index_word(a_words, words[y])
+            ub = _eval_index_word(b_words, words[y])
+            lhs = invert_word(sys.section(ua, y0))
+            rhs = sys.section(ub, pi[y0])
+            sections[sys.root_perm(ua)[y0]] = reduce_word(lhs + wit + rhs)
+    return sections
+
+
+def _synthesize(graph: ConjGraph, policy, sections) -> ConjugatorFR:
+    """Define one symbol per node that the chosen permutations reach
+    from the root, named h for the root and g for the rest in
+    breadth-first order, with sections(graph, node, pi, fills) as its
+    sections, and validate the system."""
     if not graph.roots:
         raise ValueError("graph has no surviving root vertex")
     choose = _policy_fn(policy)
-    intern = graph.interner
-    sys = intern.system
-    alive_pi: dict = {}
-    for tk, pi in graph.vertices:
-        alive_pi.setdefault(tk, []).append(pi)
+    sys = graph.interner.system
     assign: dict = {}
-    plans = {}
 
-    def successors(tk):
-        pi = assign[tk] = choose(tk, alive_pi[tk])
-        if pi not in alive_pi[tk]:
-            raise ValueError("policy chose a pruned permutation %r for tuple %r" % (pi, tk))
-        a_words = [intern.words[ka] for ka, _ in tk]
-        b_words = [intern.words[kb] for _, kb in tk]
-        perms_a = [sys.root_perm(w) for w in a_words]
-        # a surviving vertex keeps a successor at every orbit
-        succ = [(info, graph.edges[(tk, pi)][info[0]][0][0]) for info in _joint_orbits(perms_a, sys.degree)]
-        plans[tk] = (a_words, b_words, succ)
-        return [tk2 for _, tk2 in succ]
+    def successors(node):
+        # the permutation of a node is chosen when the walk reaches it;
+        # every successor of one orbit in the pruned edges has one node
+        opts = graph.pair_options(*node)
+        pi = assign[node] = choose(node, opts)
+        if pi not in opts:
+            raise ValueError("policy chose a pruned permutation %r for node %r" % (pi, node))
+        return [succs[0][:-1] for succs in graph.edges[node + (pi,)].values()]
 
-    order = breadth_first(graph.root_tuple, successors)
-    names = dict(zip(order, sys.fresh_names(["h" if tk == graph.root_tuple else "g" for tk in order])))
-    for tk in order:
-        pi = assign[tk]
-        sections: list = [EMPTY] * sys.degree
-        a_words, b_words, succ_tuples = plans[tk]
-        for (y0, orb, words), tk2 in succ_tuples:
-            succ = ((names[tk2], 1),)
-            sections[y0] = succ
-            for y in orb:
-                if y == y0:
-                    continue
-                ua = _eval_index_word(a_words, words[y])
-                ub = _eval_index_word(b_words, words[y])
-                lhs = invert_word(sys.section(ua, y0))
-                rhs = sys.section(ub, pi[y0])
-                sections[sys.root_perm(ua)[y0]] = reduce_word(lhs + succ + rhs)
-        sys.define(names[tk], pi, sections)
+    order = breadth_first(graph.root, successors)
+    names = dict(zip(order, sys.fresh_names(["h" if n == graph.root else "g" for n in order])))
+    for node in order:
+        pi = assign[node]
+        fills = [(x, ((names[succs[0][:-1]], 1),)) for x, succs in graph.edges[node + (pi,)].items()]
+        sys.define(names[node], pi, sections(graph, node, pi, fills))
     sys.validate()
-    return ConjugatorFR(sys, names[graph.root_tuple], ())
+    return ConjugatorFR(sys, names[graph.root], tuple(n + (assign[n], names[n]) for n in order))
+
+
+def basic_conjugator(graph: ConjGraph, policy="least") -> ConjugatorFR:
+    """Conjugator from the subgraph fixing one permutation per node.
+
+    The default policy takes the least surviving permutation of each
+    node in image-tuple order; 'greatest' takes the last; a callable
+    receives (node, options) and must return one of the options.
+    """
+    return _synthesize(graph, policy, _pair_sections)
+
+
+def sim_basic_conjugator(graph: ConjGraph, policy="least") -> ConjugatorFR:
+    """basic_conjugator of a tuple graph, one permutation per reachable
+    tuple node."""
+    return _synthesize(graph, policy, _tuple_sections)
+
+
+def all_basic_conjugators(graph: ConjGraph, limit: int = 64) -> list:
+    """Every one-permutation-per-node subgraph choice, in lexicographic
+    order of the choices along node discovery order."""
+    if not graph.roots:
+        return []
+    out: list = []
+
+    def rec(assign):
+        if len(out) >= limit:
+            return
+        def successors(node):
+            # an unassigned node ends the walk there; the first one met
+            # is the next to branch on
+            if node not in assign:
+                return ()
+            return [succs[0][:-1] for succs in graph.edges[node + (assign[node],)].values()]
+
+        node = next((n for n in breadth_first(graph.root, successors) if n not in assign), None)
+        if node is None:
+            out.append(_synthesize(graph, lambda n, opts: assign[n], _pair_sections))
+            return
+        for pi in graph.pair_options(*node):
+            rec({**assign, node: pi})
+
+    rec({})
+    return out
+
+
+def expand_to_finite_state(h, budget: int = 10**5):
+    """Minimal machine of a synthesized conjugator, when it is finite
+    state within the budget."""
+    from .elements import minimize
+
+    elem = getattr(h, "element", h)
+    return minimize(elem, budget)
 
 
 # -- canonical truncated representatives ---------------------------------------

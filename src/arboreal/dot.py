@@ -3,13 +3,16 @@
 Output is deterministic: nodes appear in discovery order and parallel
 edges between the same two nodes are drawn once, with their labels
 joined.  That keeps diagrams readable when several orbits of one vertex
-lead to the same target.
+lead to the same target.  A conjugator graph draws its surviving
+vertices, which all belong to nodes reachable from the input's node;
+a pair graph labels them by closure words, a tuple graph by the word
+pairs of its tuple key.
 """
 
 from __future__ import annotations
 
 from .classify import OrbitSignalizer
-from .conjugacy import ConjGraph, SimConjGraph
+from .conjugacy import ConjGraph
 from .perms import format_perm
 from .system import format_word
 
@@ -65,7 +68,7 @@ def conj_graph_dot(graph: ConjGraph) -> str:
         format_word(a[v[0]].word), format_word(b[v[1]].word), format_perm(v[2])))
 
 
-def sim_graph_dot(graph: SimConjGraph) -> str:
+def sim_graph_dot(graph: ConjGraph) -> str:
     words = graph.interner.words
 
     def label(v):
@@ -81,7 +84,5 @@ def emit_dot(graph) -> str:
     if isinstance(graph, OrbitSignalizer):
         return order_graph_dot(graph)
     if isinstance(graph, ConjGraph):
-        return conj_graph_dot(graph)
-    if isinstance(graph, SimConjGraph):
-        return sim_graph_dot(graph)
+        return conj_graph_dot(graph) if graph.os_a is not None else sim_graph_dot(graph)
     raise TypeError("no DOT form for %r" % type(graph).__name__)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from math import lcm
 
-from .elements import Element, inverse, multiply
+from .elements import MAX_WORD_LENGTH, Element, inverse, multiply
 from .perms import identity, orbits
 from .system import EMPTY, FRSystem
 
@@ -141,13 +141,18 @@ def verify_conjugator(h, a: Element, b: Element, n: int, max_leaves: int = MAX_L
     permutations agree at every vertex above level k, so walk the pairs
     of sections (h^-1*a*h|_v, b|_v) one level at a time, each level a
     set of syntactically distinct pairs, and compare root permutations
-    at depths 0..n-1.
+    at depths 0..n-1.  The guard is on what the walk holds, not on the
+    d^n vertices of a level: DepthTooLarge when a level holds more than
+    max_leaves pairs or a section word more than MAX_WORD_LENGTH letters.
     """
     h = getattr(h, "element", h)
-    _check_depth(a.system.degree, n, max_leaves)
     sa, sb = a.system, b.system
     pairs = {(multiply(multiply(inverse(h), a), h).word, b.word)}
     for depth in range(n):
+        if len(pairs) > max_leaves:
+            raise DepthTooLarge("%d section pairs at depth %d exceed %d" % (len(pairs), depth, max_leaves))
+        if any(len(u) > MAX_WORD_LENGTH or len(v) > MAX_WORD_LENGTH for u, v in pairs):
+            raise DepthTooLarge("a section word at depth %d exceeds %d letters" % (depth, MAX_WORD_LENGTH))
         if any(sa.root_perm(u) != sb.root_perm(v) for u, v in pairs):
             return False
         if depth < n - 1:

@@ -162,6 +162,36 @@ def test_graph_conj_dot_golden_with_pruned_vertices(fr, capsys):
     assert out == CONJ_GRAPH_CARRY_P_Q
 
 
+# TWISTED b b: the graph holds only pairs reachable from the input pair,
+# so the unreachable pairs (b, b^-1) and (b^-1, b), whose four vertices
+# survive among themselves, are not drawn
+CONJ_GRAPH_TWISTED_B_B = (
+    '4 vertices, 2 roots, complete\n'
+    'digraph conjugator_graph {\n'
+    '  rankdir=LR;\n'
+    '  n0 [label="(b, b, [0 1])", peripheries=2];\n'
+    '  n1 [label="(b, b, [1 0])", peripheries=2];\n'
+    '  n2 [label="(b^-1, b^-1, [0 1])"];\n'
+    '  n3 [label="(b^-1, b^-1, [1 0])"];\n'
+    '  n0 -> n2 [label="0"];\n'
+    '  n0 -> n3 [label="0"];\n'
+    '  n1 -> n2 [label="0"];\n'
+    '  n1 -> n3 [label="0"];\n'
+    '  n2 -> n0 [label="0"];\n'
+    '  n2 -> n1 [label="0"];\n'
+    '  n3 -> n0 [label="0"];\n'
+    '  n3 -> n1 [label="0"];\n'
+    '}\n'
+)
+
+
+def test_graph_conj_dot_golden_draws_only_reachable_pairs(fr, capsys):
+    path = fr(TWISTED)
+    code, out = run(capsys, "graph", "conj", path, "b", "b", "--dot", "-")
+    assert code == 0
+    assert out == CONJ_GRAPH_TWISTED_B_B
+
+
 # the tuple graph of (p, s) and its conjugate by q in CARRY: 8 vertices
 # found, 4 survive
 SIM_GRAPH_CARRY_P_S = (
@@ -289,6 +319,26 @@ def test_oracle_subcommands(fr, capsys):
     assert run(capsys, "oracle", "orbit-tree", path, "p")[0] == 0
     code, _ = run(capsys, "oracle", "verify", path, "e", "p", "q", "--depth", "6")
     assert code == 1
+
+
+ROT3 = "alphabet 3\na = (e, a, e) [1 2 0]\nb = (a, e, b) [0 2 1]\n"
+
+
+@pytest.mark.parametrize("extra", [["--group", "aut"], ["--group", "fsg"], ["--simultaneous"]])
+def test_degree_three_verdicts_verify_at_the_default_depth(fr, capsys, extra):
+    # the level-10 tree has 3^10 vertices, but the pair walk holds few
+    path = fr(ROT3)
+    code, out = run(capsys, "conjugate", path, "a", "a^-1", *extra)
+    assert (code, out) == (0, "conjugate\n")
+
+
+def test_verification_refuses_words_that_double_at_each_level(fr, capsys):
+    # the sections of a below the root are a^(2^k): at level 16 they
+    # outgrow the word length cap
+    path = fr("alphabet 2\na = (a*a, e)\n")
+    assert run(capsys, "oracle", "verify", path, "a", "a", "a", "--depth", "12")[0] == 0
+    assert cli.main(["oracle", "verify", path, "a", "a", "a", "--depth", "20"]) == 2
+    assert capsys.readouterr().err.startswith("cap: ")
 
 
 def test_usage_errors_exit_three(fr, capsys):

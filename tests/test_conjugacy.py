@@ -168,6 +168,9 @@ def test_simultaneous_singleton_matches_plain(odometer):
     assert dec.conjugate
     h = sim_basic_conjugator(dec.graph)
     assert _verified(h.element, a, inverse(a))
+    # one assignment (*node, pi, symbol) per tuple node, the root's first
+    assert h.assignments[0] == dec.graph.roots[0] + (h.root,)
+    assert all(s[:-1] in dec.graph.vertices for s in h.assignments)
     # planted and coded-negative corpus pairs: a 1-tuple gets the verdict
     # of the pair itself, and both syntheses verify
     for kind, degree, _, a, b, _ in load_corpus().pairs(30, 10):
@@ -237,10 +240,12 @@ def test_root_permutation_conjugator_enumeration():
 
 
 def reference_conj_graph(a, b, cap=512):
-    """(vertices, edges, roots) of the pruned conjugator graph, or None
-    when a closure exceeds the cap.  Every candidate triple lists, per
-    orbit of its first component, all triples of its successor pair, and
-    survival runs over triples alone."""
+    """(vertices, edges, roots, reachable) of the pruned conjugator graph
+    over every pair of the two closures, or None when a closure exceeds
+    the cap.  Every candidate triple lists, per orbit of its first
+    component, all triples of its successor pair, and survival runs over
+    triples alone.  reachable lists the pairs reachable from (0, 0)
+    through candidate triples, in breadth-first order."""
     os_a = orbit_signalizer(a, cap, letters="all")
     os_b = orbit_signalizer(b, cap, letters="all")
     if not (os_a.complete and os_b.complete):
@@ -268,7 +273,16 @@ def reference_conj_graph(a, b, cap=512):
         v: {x: [s for s in succs if s in alive] for x, succs in all_edges[v].items()}
         for v in vertices
     }
-    return vertices, edges, [v for v in vertices if v[:2] == (0, 0)]
+    reachable = [(0, 0)]
+    seen = {(0, 0)}
+    for i, j in reachable:
+        for pi in conjugators(perm_a[i], perm_b[j]):
+            for orb in orbits(perm_a[i]):
+                pair = (succ_a[(i, orb[0])], succ_b[(j, pi[orb[0]])])
+                if pair not in seen:
+                    seen.add(pair)
+                    reachable.append(pair)
+    return vertices, edges, [v for v in vertices if v[:2] == (0, 0)], reachable
 
 
 def reference_sim_conj_graph(as_, bs):
@@ -361,7 +375,11 @@ def planted_tuples():
 
 
 def test_pair_level_graph_matches_the_triple_level_reference():
+    # survival of a reachable pair depends only on reachable pairs, so
+    # the graph is the all-pairs reference restricted to the pairs
+    # reachable from (0, 0), with the same roots
     complete = 0
+    unreachable = 0
     for build in random_pairs():
         graph = conj_graph(*build(), cap=32)
         ref = reference_conj_graph(*build(), cap=32)
@@ -369,15 +387,46 @@ def test_pair_level_graph_matches_the_triple_level_reference():
         if ref is None:
             continue
         complete += 1
-        vertices, edges, roots = ref
-        assert graph.vertices == vertices
+        vertices, edges, roots, reachable = ref
+        restricted = [v for v in vertices if v[:2] in set(reachable)]
+        unreachable += len(vertices) - len(restricted)
         assert graph.roots == roots
-        assert list(graph.edges) == vertices
-        assert [list(graph.edges[v].items()) for v in vertices] == [list(edges[v].items()) for v in vertices]
-        for i, j, pi in vertices:
-            assert pi in graph.pair_options(i, j)
+        assert sorted(graph.vertices) == restricted
+        assert list(graph.edges) == graph.vertices
+        for v in restricted:
+            assert list(graph.edges[v].items()) == list(edges[v].items())
+        # pairs come in discovery order, each with its survivors in
+        # conjugator order
+        assert list(graph.pairs) == [p for p in reachable if any(v[:2] == p for v in vertices)]
+        for i, j in reachable:
+            assert graph.pair_options(i, j) == [v[2] for v in vertices if v[:2] == (i, j)]
         assert graph.pair_options(len(graph.os_a.elements), 0) == []
     assert complete >= 40
+    assert unreachable  # the slice has surviving vertices outside the reachable pairs
+
+
+def test_the_pair_graph_and_the_one_tuple_graph_are_one_graph():
+    # corpus pairs and the g against g^-1 inputs of the Aut sweep: a
+    # 1-tuple node holds the one constraint pair of its closure pair, so
+    # both graphs keep the same roots, vertices and nodes
+    inputs = [(a, b) for _, _, _, a, b, _ in load_corpus().pairs(30, 10)]
+    for d in (3, 4, 5):
+        for k in range(28):
+            sys = random_bounded(k, 6, d)
+            g = one(sys, sys.symbols[-1])
+            inputs.append((g, inverse(g)))
+    compared = 0
+    for a, b in inputs:
+        graph = conj_graph(a, b, cap=32)
+        if not graph.complete:
+            continue
+        tuples = sim_conj_graph([a], [b])
+        assert tuples.complete
+        assert [v[-1] for v in tuples.roots] == [v[-1] for v in graph.roots]
+        assert len(tuples.vertices) == len(graph.vertices)
+        assert len(tuples.pairs) == len(graph.pairs)
+        compared += 1
+    assert compared >= 100
 
 
 def test_tuple_node_graph_matches_the_vertex_level_reference():

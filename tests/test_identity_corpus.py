@@ -27,8 +27,9 @@ def test_identity_corpus_prints_records_and_their_digest(capsys):
         assert verdict.split()[1] == ("conjugate" if line.startswith("planted") else "not_conjugate")
     digest = hashlib.sha256("".join(line + "\n" for line in records).encode()).hexdigest()
     assert last == "sha256 " + digest
-    # the slice's verdicts, witnesses and symbol names, pinned
-    assert last == "sha256 ef4fc2a0be18af976344f7d567d7eb05287234f4b25000e62a26e2cce9eccfc8"
+    # the slice's verdicts, witnesses and symbol names, pinned; the aut
+    # vertex counts are those of the pairs reachable from the input pair
+    assert last == "sha256 c5e29a032a64996213700c98a7d82419fbcc23241eb8710c515b05c58d725ac1"
     # a second run in the same process prints the same corpus
     corpus.main(["--deg2", "2", "--deg3", "1"])
     assert capsys.readouterr().out.splitlines()[-1] == last

@@ -186,6 +186,16 @@ def test_truncations_refuse_huge_depths(odometer):
         truncate(a, 20)
 
 
+def test_the_pair_walk_guards_the_pairs_it_holds(odometer):
+    # the odometer's sections are a and e, so every level of the walk
+    # holds at most two pairs however deep it goes
+    sys, a = odometer
+    e = Element(sys, ())
+    assert verify_conjugator(e, a, a, 40, max_leaves=2)
+    with pytest.raises(DepthTooLarge):
+        verify_conjugator(e, a, a, 40, max_leaves=1)
+
+
 def test_truncated_order_growth(odometer):
     _, a = odometer
     assert [truncated_order(a, n) for n in (1, 2, 3, 10)] == [2, 4, 8, 1024]
