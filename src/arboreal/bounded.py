@@ -22,8 +22,8 @@ import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .classify import orbit_signalizer, polynomial_degree
-from .conjugacy import _orbit_sections
+from .classify import polynomial_degree
+from .conjugacy import _orbit_sections, conjugate_in_aut
 from .elements import EQUALITY_BUDGET, Element, Exceeded, Interner, _equal_words, _same_system
 from .graphs import breadth_first, surviving
 from .perms import Perm, compose, conjugators, is_identity, inverse as perm_inverse, orbits
@@ -440,7 +440,12 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
                              budget: int = EQUALITY_BUDGET) -> RestrictedDecision:
     """Conjugacy of bounded automorphisms by a bounded automorphism.
 
-    Monotone fixpoint over orbit-power pairs with four rules:
+    A bounded conjugator is a conjugator in Aut(T), so the decision runs
+    over the pruned conjugator graph of conjugate_in_aut: its surviving
+    pairs in discovery order, the input pair first, their surviving root
+    permutations and their successors.  An Aut verdict of unknown or
+    not_conjugate is returned as it is, with the Aut reason.  Otherwise
+    a monotone fixpoint over the pairs runs four rules:
       seed      -- the pair's own configuration has a finitary conjugator;
       moving    -- a conjugator lying on a circuit whose address moves
                    under the left input: then some orbit companion state
@@ -460,10 +465,13 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
     """
     _require_bounded(a, b)
     sys = _same_system(a, b)
-    os_a = orbit_signalizer(a, cap, letters="all")
-    os_b = orbit_signalizer(b, cap, letters="all")
-    if not (os_a.complete and os_b.complete):
-        return RestrictedDecision("unknown", certificate="orbit-power closure exceeded cap %d" % cap)
+    aut = conjugate_in_aut(a, b, cap)
+    if aut.tag == "unknown":
+        return RestrictedDecision("unknown", certificate=aut.reason)
+    if not aut.conjugate:
+        return RestrictedDecision("not_conjugate", certificate="not conjugate in Aut: %s" % aut.reason)
+    graph = aut.graph
+    os_a, os_b = graph.os_a, graph.os_b
     space = ConfigSpace(sys)
     fin = FinSat(space, cap=max(4096, cap * 8))
     try:
@@ -471,22 +479,13 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
         kb = [space.key(g.word) for g in os_b.elements]
     except _CapExceeded as exc:
         return RestrictedDecision("unknown", certificate="interner cap: %s" % (exc.info,))
-    idx_a = {k: i for i, k in enumerate(ka)}
-    idx_b = {k: j for j, k in enumerate(kb)}
-    pairs = [(i, j) for i in range(len(ka)) for j in range(len(kb))]
     dist: dict = {}
-
-    def pair_cpi(i, j):
-        return space.cpi(ka[i], kb[j])
 
     def steps(i, j, pi):
         """Orbit steps of the pair's configuration under pi, each with
-        the closure pair it induces (the closures are closed under
-        orbit-power sections at every letter)."""
-        return [
-            (s, idx_a[s.config.main[0]], idx_b[s.config.main[1]])
-            for s in space.steps(space.pair_config(ka[i], kb[j]), pi)
-        ]
+        the surviving vertices of the pair its orbit leads to."""
+        edges = graph.edges[(i, j, pi)]
+        return [(s, edges[s.letter]) for s in space.steps(space.pair_config(ka[i], kb[j]), pi)]
 
     # seed: finitary conjugator for the pair itself.  Once the seed rule
     # has passed over every pair, all pair configurations are explored,
@@ -499,13 +498,10 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
     # moving circuit: the conjugator equals its own section at a letter u
     # moved by c; the state at (u)c^t is then finitary and determines it
     def moving(i, j):
-        cpi = pair_cpi(i, j)
-        if not cpi:
-            return
         wc, wd = os_a.elements[i].word, os_b.elements[j].word
         # the a side does not depend on pi
         orbs = [(orb, [sys.power_sections(wc, u) for u in orb]) for orb in space.orbits(ka[i]) if len(orb) > 1]
-        for pi in cpi:
+        for pi in graph.pair_options(i, j):
             for orb, pc in orbs:
                 m = len(orb)
                 pd = [sys.power_sections(wd, pi[u]) for u in orb]
@@ -532,10 +528,10 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
         if v not in edge_cache:
             out = steps(*v)
             edge_cache[v] = [
-                (s.letter, i2, j2)
-                for s, i2, j2 in out
+                (s.letter, succs)
+                for s, succs in out
                 if s.size == 1
-                and all(fin.satisfiable(o.config) is not None for o, _, _ in out if o is not s)
+                and all(fin.satisfiable(o.config) is not None for o, _ in out if o is not s)
             ]
         return edge_cache[v]
 
@@ -547,21 +543,20 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
         used_letters: list = []
 
         def rec(v):
-            for x, i2, j2 in edges_of(v):
-                for tau in pair_cpi(i2, j2):
-                    w = (i2, j2, tau)
+            for x, succs in edges_of(v):
+                for w in succs:
                     if w == start:
                         used_letters.append(x)
                         return True
-                    if (i2, j2) in onpath_pairs:
+                    if w[:2] in onpath_pairs:
                         continue
                     path.append(w)
-                    onpath_pairs.add((i2, j2))
+                    onpath_pairs.add(w[:2])
                     used_letters.append(x)
                     if rec(w):
                         return True
                     path.pop()
-                    onpath_pairs.discard((i2, j2))
+                    onpath_pairs.discard(w[:2])
                     used_letters.pop()
             return False
 
@@ -570,8 +565,8 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
         return None
 
     def circuit(i, j):
-        for pi in pair_cpi(i, j):
-            hit = find_cycle((i, j, pi))
+        for v in graph.pairs[(i, j)]:
+            hit = find_cycle(v)
             if hit:
                 cycle, letters = hit
                 for t, (vi, vj, _) in enumerate(cycle):
@@ -583,7 +578,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
     # pairs are irrelevant, since synthesis only follows rule references
     # downward
     for rule in (seed, moving, circuit):
-        for i, j in pairs:
+        for i, j in graph.pairs:
             if (0, 0) in dist:
                 break
             if (i, j) not in dist:
@@ -595,15 +590,15 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
     changed = (0, 0) not in dist
     while changed:
         changed = False
-        for i, j in pairs:
+        for i, j in graph.pairs:
             if (0, 0) in dist:
                 changed = False
                 break
             if (i, j) in dist:
                 continue
-            for pi in pair_cpi(i, j):
-                if all((i2, j2) in dist for _, i2, j2 in steps(i, j, pi)):
-                    dist[(i, j)] = ("reduction", pi)
+            for v in graph.pairs[(i, j)]:
+                if all(succs[0][:2] in dist for succs in graph.edges[v].values()):
+                    dist[(i, j)] = ("reduction", v[2])
                     changed = True
                     break
 
@@ -611,7 +606,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
         return RestrictedDecision(
             "not_conjugate",
             certificate="fixpoint distinguished %d of %d orbit-power pairs without reaching the input pair"
-            % (len(dist), len(pairs)),
+            % (len(dist), len(graph.pairs)),
         )
 
     # synthesis of the witness, one rule at a time
@@ -619,8 +614,9 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
 
     def sections(i, j, pi, wit):
         """Sections of a conjugator for pair (i, j) with root pi, taking
-        wit(step, i2, j2) at the anchor letter of each orbit step."""
-        fills = [(s.letter, wit(s, i2, j2)) for s, i2, j2 in steps(i, j, pi)]
+        wit(step, successor vertices) at the anchor letter of each orbit
+        step."""
+        fills = [(s.letter, wit(s, succs)) for s, succs in steps(i, j, pi)]
         return _orbit_sections(sys, os_a.elements[i].word, os_b.elements[j].word, pi, fills)
 
     def synth(pair) -> Word:
@@ -638,12 +634,12 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
                 synth_memo[(vi, vj)] = ((names[t], 1),)
             for t, (vi, vj, vpi) in enumerate(cycle):
                 nxt = ((names[(t + 1) % len(cycle)], 1),)
-                sys.define(names[t], vpi, sections(vi, vj, vpi, lambda s, i2, j2: (
+                sys.define(names[t], vpi, sections(vi, vj, vpi, lambda s, succs: (
                     nxt if s.letter == letters[t] else fin.witness_word(s.config))))
             w = synth_memo[pair]
         else:  # reduction
             pi = rule[1]
-            secs = sections(*pair, pi, lambda s, i2, j2: synth((i2, j2)))
+            secs = sections(*pair, pi, lambda s, succs: synth(succs[0][:2]))
             # named only now: the recursive calls above define names too
             [name] = sys.fresh_names(["h"])
             sys.define(name, pi, secs)

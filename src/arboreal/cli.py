@@ -71,13 +71,13 @@ _cap = _at_least_zero("cap")
 _depth = _at_least_zero("depth", "invalid depth %r")
 
 
-def _load(path: str) -> tuple[FRSystem, str]:
+def _load(path: str) -> FRSystem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise _Usage(str(exc)) from None
-    return parse_system(text), hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return parse_system(text)
 
 
 def _word(sys: FRSystem, text: str) -> Element:
@@ -127,13 +127,13 @@ def _emit_lines(witness: dict) -> list:
 
 
 def _cmd_parse(args):
-    sys, _ = _load(args.file)
+    sys = _load(args.file)
     text = format_system(sys)
     return 0, "ok", {"system": text}, {}, text.splitlines()
 
 
 def _cmd_equal(args):
-    sys, _ = _load(args.file)
+    sys = _load(args.file)
     g, h = _word(sys, args.w1), _word(sys, args.w2)
     res = equal(g, h, args.budget)
     if res is True:
@@ -144,14 +144,14 @@ def _cmd_equal(args):
 
 
 def _cmd_act(args):
-    sys, _ = _load(args.file)
+    sys = _load(args.file)
     g = _word(sys, args.word)
     img = act(g, _vertex(sys, args.vertex))
     return 0, _fmt_vertex(sys, img), None, {}, []
 
 
 def _cmd_order(args):
-    sys, _ = _load(args.file)
+    sys = _load(args.file)
     g = _word(sys, args.word)
     r = order(g, args.cap)
     caps = {"cap": args.cap}
@@ -164,7 +164,7 @@ def _cmd_order(args):
 
 
 def _cmd_classify(args):
-    sys, _ = _load(args.file)
+    sys = _load(args.file)
     cls = polynomial_degree(_word(sys, args.word))
     witness = {"kind": cls.kind, "value": cls.value, "detail": cls.witness}
     if cls.kind == "unknown":
@@ -173,7 +173,7 @@ def _cmd_classify(args):
 
 
 def _cmd_os(args):
-    sys, _ = _load(args.file)
+    sys = _load(args.file)
     g = _word(sys, args.word)
     os = orbit_signalizer(g, args.cap, letters=args.letters)
     lines = ["%d: %s" % (i, format_word(h.word)) for i, h in enumerate(os.elements)]
@@ -188,7 +188,7 @@ def _cmd_os(args):
 
 
 def _cmd_nucleus(args):
-    sys, _ = _load(args.file)
+    sys = _load(args.file)
     r = nucleus(_word(sys, args.word), size_cap=args.cap)
     if not r.contracting:
         return 2, "unknown", {"reason": r.reason}, {"cap": args.cap}, []
@@ -197,7 +197,7 @@ def _cmd_nucleus(args):
 
 
 def _cmd_graph(args):
-    sys, _ = _load(args.file)
+    sys = _load(args.file)
     a = _word(sys, args.w1)
     if args.kind == "order":
         graph = orbit_signalizer(a, args.cap, letters="least")
@@ -222,7 +222,7 @@ def _cmd_graph(args):
 
 
 def _cmd_conjugate(args):
-    sys, _ = _load(args.file)
+    sys = _load(args.file)
     caps = {"cap": args.cap, "verify_depth": args.verify_depth}
     note = None
     # synthesize: the graph synthesis of an Aut verdict, or None when the
@@ -245,17 +245,15 @@ def _cmd_conjugate(args):
             if is_bounded(a) and is_bounded(b):
                 group = "aut"
                 note = "both inputs bounded; finite-state verdict equals the unrestricted one"
+            # the Aut decider answers only when its closures over all
+            # letters are complete, and those contain the least-letter ones
+            elif nucleus(a, size_cap=args.cap).contracting and nucleus(b, size_cap=args.cap).contracting:
+                group = "aut"
+                note = "contraction verified and both orbit-power closures complete"
             else:
-                na, nb = nucleus(a, size_cap=args.cap), nucleus(b, size_cap=args.cap)
-                osa = orbit_signalizer(a, args.cap)
-                osb = orbit_signalizer(b, args.cap)
-                if na.contracting and nb.contracting and osa.complete and osb.complete:
-                    group = "aut"
-                    note = "contraction verified and both orbit-power closures complete"
-                else:
-                    reason = ("finite-state restriction undecided here: inputs are not both bounded "
-                              "and contraction or closure completeness could not be verified")
-                    return 2, "unknown", {"reason": reason}, caps, []
+                reason = ("finite-state restriction undecided here: inputs are not both bounded "
+                          "and contraction or closure completeness could not be verified")
+                return 2, "unknown", {"reason": reason}, caps, []
         if group == "aut":
             dec = conjugate_in_aut(a, b, args.cap)
             reason, cls, synthesize = dec.reason or "no surviving root", None, basic_conjugator
@@ -279,7 +277,7 @@ def _cmd_conjugate(args):
 
 
 def _cmd_representative(args):
-    sys, _ = _load(args.file)
+    sys = _load(args.file)
     rep = canonical_representative(_word(sys, args.word), args.depth)
     lines = [
         "level %d: %s" % (k, " ".join(str(x) for x in rep.level_maps[k]))
@@ -290,7 +288,7 @@ def _cmd_representative(args):
 
 
 def _cmd_oracle(args):
-    sys, _ = _load(args.file)
+    sys = _load(args.file)
     caps = {"depth": args.depth}
     if args.oracle == "orbit-tree":
         code = orbit_tree_code(_word(sys, args.w1), args.depth)

@@ -8,6 +8,7 @@ from arboreal import (
     bounded_choice_search,
     choice_system,
     configurations,
+    conjugate_in_aut,
     conjugate_in_pol0_cyclic,
     conjugate_in_pol_inf,
     conjugate_in_pol_minus1,
@@ -267,6 +268,49 @@ def test_pol0_witness_texts_per_rule(pair, certificate, text):
     assert dec.tag == "conjugate"
     assert dec.certificate == certificate
     assert load_corpus().witness(dec.conjugator) == text
+
+
+def two_ring_pair(seed, degree):
+    """a, the last symbol of random_bounded(seed, 6), and h^-1*a*h for
+    h = h1*h2, the last symbols of random_bounded(7000 + seed, 3) and
+    random_bounded(9000 + seed, 3) merged beside it."""
+    sys = random_bounded(seed, 6, degree)
+    a = one(sys, sys.symbols[-1])
+    rings = []
+    for base in (7000, 9000):
+        other = random_bounded(base + seed, 3, degree)
+        rings.append(one(sys, merge_into(sys, other)[other.symbols[-1]]))
+    h = multiply(*rings)
+    return a, multiply(multiply(inverse(h), a), h)
+
+
+@pytest.mark.parametrize("degree,seed", [(3, 26), (4, 0), (4, 26), (4, 50)])
+def test_two_ring_conjugators_decide_at_the_default_caps(degree, seed):
+    # over all closure pairs the FinSat universe of these inputs passed
+    # its cap (unknown: finitary universe cap 4096); over the surviving
+    # pairs of the conjugator graph it stays small
+    a, b = two_ring_pair(seed, degree)
+    dec = conjugate_in_pol0_cyclic(a, b)
+    assert dec.tag == "conjugate"
+    assert dec.certificate == "rule reduction"
+    assert verify_conjugator(dec.conjugator, a, b, 8)
+
+
+def test_pol0_verdicts_sit_below_the_aut_verdicts():
+    # conjugate in Pol(0) => conjugate in Aut, and an Aut negative is a
+    # Pol(0) negative with the Aut reason, on planted and coded-negative
+    # corpus pairs
+    tags = set()
+    for _, _, _, a, b, _ in load_corpus().pairs(30, 10):
+        aut = conjugate_in_aut(a, b)
+        dec = conjugate_in_pol0_cyclic(a, b)
+        tags.add((dec.tag, aut.tag))
+        if dec.conjugate:
+            assert aut.conjugate
+        if aut.tag == "not_conjugate":
+            assert dec.tag == "not_conjugate"
+            assert dec.certificate == "not conjugate in Aut: " + aut.reason
+    assert tags == {("conjugate", "conjugate"), ("not_conjugate", "not_conjugate")}
 
 
 def steps_from_definition(space, cfg, pi):

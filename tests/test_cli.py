@@ -304,6 +304,15 @@ def test_fsg_gate_gives_up_without_contraction(fr, capsys):
     assert run(capsys, "conjugate", path, "l", "l", "--group", "fsg")[0] == 0
 
 
+def test_fsg_gate_leaves_closure_completeness_to_the_aut_decider(fr, capsys):
+    # BRANCH contracts, so the gate passes it on; the Aut decider then
+    # reports its own orbit-power closure cap
+    path = fr(BRANCH)
+    code, out = run(capsys, "conjugate", path, "a", "b", "--group", "fsg", "--cap", "64")
+    assert code == 2
+    assert out.splitlines() == ["unknown", "reason: orbit-power closure exceeded cap 64"]
+
+
 def test_representative_is_stable_across_the_class(fr, capsys):
     path = fr(TWISTED)
     _, rep_a = run(capsys, "representative", path, "a", "--depth", "5")

@@ -28,8 +28,9 @@ def test_identity_corpus_prints_records_and_their_digest(capsys):
     digest = hashlib.sha256("".join(line + "\n" for line in records).encode()).hexdigest()
     assert last == "sha256 " + digest
     # the slice's verdicts, witnesses and symbol names, pinned; the aut
-    # vertex counts are those of the pairs reachable from the input pair
-    assert last == "sha256 c5e29a032a64996213700c98a7d82419fbcc23241eb8710c515b05c58d725ac1"
+    # vertex counts are those of the pairs reachable from the input pair,
+    # and a negative's pol0 certificate is the Aut reason
+    assert last == "sha256 7ecf2a76ada09772b36c960c1c860cfe9cbdfa9bd6087b23a7dd437573bdf0bc"
     # a second run in the same process prints the same corpus
     corpus.main(["--deg2", "2", "--deg3", "1"])
     assert capsys.readouterr().out.splitlines()[-1] == last
