@@ -126,12 +126,12 @@ class ConfigSpace:
             ko = self._orbit_keys[(k, x)] = self.key(self.powers(k, x)[-1])
         return ko
 
-    def _move(self, k: int, kc: int, x: int, t: int, y: int) -> int:
-        """Key of (w^t * c)|_x, w = word(k), c = word(kc), y = x w^t."""
-        km = self._moves.get((k, kc, x, y))
-        if km is None:
-            moved = reduce_word(self.powers(k, x)[t] + self.system.section(self.word(kc), y))
-            km = self._moves[(k, kc, x, y)] = self.key(moved)
+    def _move(self, entry: tuple, t: int) -> int:
+        """Key of (w^t * c)|_x for an entry (k, kc, x, y) missing from
+        _moves, which steps reads inline: w = word(k), c = word(kc)."""
+        k, kc, x, y = entry
+        moved = reduce_word(self.powers(k, x)[t] + self.system.section(self.word(kc), y))
+        km = self._moves[entry] = self.key(moved)
         return km
 
     def config(self, main, dp) -> Configuration:
@@ -149,14 +149,15 @@ class ConfigSpace:
         if (cfg, pi) in self._succ:
             return self._succ[(cfg, pi)]
         ka, kb = cfg.main
-        move = self._move
+        table, move = self._moves, self._move
         out = []
         for orb in self.orbits(ka):
             x, m = orb[0], len(orb)
             px = pi[x]
             main2 = (self.orbit_key(ka, x), self.orbit_key(kb, px))
             moves = tuple(
-                ((kc, kd), (move(ka, kc, x, t, y), move(kb, kd, px, t, pi[y])))
+                ((kc, kd), (table[ea] if (ea := (ka, kc, x, y)) in table else move(ea, t),
+                            table[eb] if (eb := (kb, kd, px, pi[y])) in table else move(eb, t)))
                 for kc, kd in cfg.dp
                 for t, y in enumerate(orb)
             )

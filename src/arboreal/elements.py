@@ -245,7 +245,7 @@ def is_trivial(g: Element, budget: int = EQUALITY_BUDGET):
 
 def _equal_words(sys: FRSystem, u: Word, v: Word, budget: int):
     """Decide u == v for two reduced words: the union-find, the cache of
-    decided pairs and the signature first, then _bisimulate."""
+    decided pairs and the depth-5 signature classes first, then _bisimulate."""
     u, v = sys.find(u), sys.find(v)
     if u == v:
         return True
@@ -272,8 +272,8 @@ class Interner:
 
     Keys are handed out in first-seen order; words[k] is the union-find
     representative the key was created for.  Lookup first tries the
-    representative, then the depth-3 signature bucket, and only runs
-    bisimulations against candidates sharing the signature.
+    representative, then the bucket of its depth-5 signature class, and
+    only runs bisimulations against candidates sharing the class.
     """
 
     def __init__(self, system: FRSystem, budget: int = EQUALITY_BUDGET):
@@ -281,7 +281,7 @@ class Interner:
         self.budget = budget
         self.words: list[Word] = []
         self._by_root: dict[Word, int] = {}
-        self._buckets: dict[tuple, list[int]] = {}
+        self._buckets: dict[int, list[int]] = {}
 
     def __len__(self):
         return len(self.words)

@@ -27,6 +27,9 @@ class DepthTooLarge(ValueError):
 
 
 MAX_LEAVES = 16384
+# deepest level of the orbit-power recursions, at about three frames a
+# level well inside Python's default recursion limit of 1000
+MAX_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def _orbit_powers(sys: FRSystem, w):
     return [(len(c), sys.power_sections(w, c[0])[-1]) for c in orbits(sys.root_perm(w))]
 
 
-def truncated_order(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> int:
+def truncated_order(g: Element, n: int) -> int:
     """Order of the induced permutation on level n; divides the true
     order whenever that is finite.
 
@@ -102,7 +105,8 @@ def truncated_order(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> int:
     (w, k) for one call.
     """
     sys = g.system
-    _check_depth(sys.degree, n, max_leaves)
+    if n > MAX_DEPTH:
+        raise DepthTooLarge("depth %d exceeds %d levels" % (n, MAX_DEPTH))
 
     @cache
     def level_order(w, k):
@@ -111,7 +115,7 @@ def truncated_order(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> int:
     return level_order(g.word, n)
 
 
-def orbit_tree_code(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> str:
+def orbit_tree_code(g: Element, n: int) -> str:
     """Canonical string of the orbit tree of <g> on the truncated tree:
     per orbit, its size and the sorted distinct codes of its child
     orbits.  Conjugate automorphisms get equal codes at every depth.
@@ -122,7 +126,8 @@ def orbit_tree_code(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> str:
     w^m|_x.  Memoised on (w, k, s) for one call.
     """
     sys = g.system
-    _check_depth(sys.degree, n, max_leaves)
+    if n > MAX_DEPTH:
+        raise DepthTooLarge("depth %d exceeds %d levels" % (n, MAX_DEPTH))
 
     @cache
     def code(w, k, s):

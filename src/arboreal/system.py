@@ -29,6 +29,9 @@ TRIVIAL_NAME = "e"
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
+# levels of root permutations a signature separates
+SIGNATURE_DEPTH = 5
+
 
 class DslError(ValueError):
     """Parse or validation failure, with 1-based line/column position."""
@@ -84,7 +87,8 @@ class FRSystem:
         # caches, keyed by reduced words
         self._root: dict[Word, Perm] = {}
         self._sect: dict[tuple[Word, int], Word] = {}
-        self._sig: dict[Word, tuple] = {}
+        self._sig: dict[tuple[Word, int], int] = {}
+        self._classes: dict[tuple, int] = {}
         self._parent: dict[Word, Word] = {}
         self._eq: dict[tuple[Word, Word], bool] = {}
         # per symbol s: (perm of s^-1, section of s^-1 at each letter)
@@ -202,27 +206,23 @@ class FRSystem:
             if y == x:
                 return out
 
-    def signature(self, w: Word, depth: int = 3) -> tuple:
-        """Images of all words up to the given depth; a cheap invariant
-        used to avoid bisimulation runs between obviously distinct words."""
-        cached = self._sig.get(w)
-        if cached is not None:
-            return cached
-        rows = []
-        frontier = [(w, ())]
-        for _ in range(depth):
-            nxt = []
-            row = []
-            for u, prefix in frontier:
-                p = self.root_perm(u)
-                row.append(p)
-                for x in range(self.degree):
-                    nxt.append((self.section(u, x), prefix + (x,)))
-            rows.append(tuple(row))
-            frontier = nxt
-        sig = tuple(rows)
-        self._sig[w] = sig
-        return sig
+    def signature(self, w: Word) -> int:
+        """Class of w under depth-SIGNATURE_DEPTH bisimilarity: a cheap
+        invariant that spares bisimulations between words it separates."""
+        return self._depth_class(w, SIGNATURE_DEPTH)
+
+    def _depth_class(self, w: Word, k: int) -> int:
+        """Hash-consed class of (root_perm(w),) for k = 1, else of root_perm(w)
+        and the depth k-1 classes of the sections of w: equal exactly when
+        the root permutations agree at every vertex above level k."""
+        key = (w, k)
+        cls = self._sig.get(key)
+        if cls is None:
+            node = (self.root_perm(w),)
+            if k > 1:
+                node += tuple(self._depth_class(self.section(w, x), k - 1) for x in range(self.degree))
+            cls = self._sig[key] = self._classes.setdefault(node, len(self._classes))
+        return cls
 
     # -- union-find over words proven equal ------------------------------
 

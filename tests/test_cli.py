@@ -5,6 +5,7 @@ import json
 import pytest
 
 from arboreal import Element, cli, emit_dot, inverse, multiply, sim_conj_graph
+from arboreal.oracle import MAX_DEPTH
 from arboreal.system import parse_system
 
 from conftest import BRANCH, CARRY, ODOMETER, TWISTED, ZOO
@@ -426,9 +427,23 @@ def test_unbounded_restricted_input_exits_three(fr, capsys):
 
 
 def test_depth_cap_exits_two(fr, capsys):
+    # the orbit-power recursions answer at any depth up to MAX_DEPTH and
+    # refuse one past it as a cap, never as an internal error
     path = fr(ODOMETER)
-    assert cli.main(["oracle", "trunc-order", path, "a", "--depth", "30"]) == 2
-    capsys.readouterr()
+    for oracle in ("trunc-order", "orbit-tree"):
+        assert cli.main(["oracle", oracle, path, "a", "--depth", str(MAX_DEPTH + 1)]) == 2
+        assert capsys.readouterr().err == "cap: depth %d exceeds %d levels\n" % (MAX_DEPTH + 1, MAX_DEPTH)
+    assert cli.main(["representative", path, "a", "--depth", "30"]) == 2
+    assert capsys.readouterr().err.startswith("cap: degree 2 at depth 30 exceeds")
+
+
+@pytest.mark.parametrize("depth", [15, 64, MAX_DEPTH])
+def test_orbit_oracles_answer_past_the_leaf_cap(fr, capsys, depth):
+    path = fr(ODOMETER, "odo.fr")
+    code, out = run(capsys, "oracle", "trunc-order", path, "a", "--depth", str(depth))
+    assert (code, out) == (0, "%d\n" % 2**depth)
+    code, out = run(capsys, "oracle", "orbit-tree", path, "a", "--depth", str(depth))
+    assert code == 0 and out.startswith("(1:(2:(4:") and out.count("(") == depth + 1
 
 
 def test_input_errors_name_the_input(fr, capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Group operations, sections, and machine minimization."""
 
+from itertools import combinations, product
+
 import pytest
 
 from arboreal import (
@@ -16,11 +18,12 @@ from arboreal import (
     power,
     section,
 )
-from arboreal import configurations, nucleus, orbit_signalizer
-from arboreal.elements import MAX_WORD_LENGTH, Interner
-from arboreal.system import EMPTY, FRSystem, merge_into, parse_system
+from arboreal import configurations, nucleus, orbit_signalizer, random_bounded
+from arboreal import elements
+from arboreal.elements import MAX_WORD_LENGTH, Interner, _bisimulate
+from arboreal.system import EMPTY, SIGNATURE_DEPTH, FRSystem, merge_into, parse_system, reduce_word
 
-from conftest import BRANCH, CARRY, ODOMETER, TWISTED, one
+from conftest import BRANCH, CARRY, ODOMETER, TWISTED, ZOO, one
 
 
 def test_odometer_adds_one_with_carry(odometer):
@@ -179,3 +182,78 @@ def test_closures_never_recheck_their_own_words(monkeypatch):
     args = inputs()
     monkeypatch.setattr(FRSystem, "check_word", refuse)
     assert run(*args) == want
+
+
+# -- signatures ------------------------------------------------------------
+
+
+def reference_signature(sys, w, k):
+    """The tuple signature the integer classes replaced: the root
+    permutation of every section word on levels 0..k-1, level by level,
+    vertices in lexicographic order."""
+    rows, frontier = [], [w]
+    for _ in range(k):
+        rows.append(tuple(sys.root_perm(u) for u in frontier))
+        frontier = [sys.section(u, x) for u in frontier for x in range(sys.degree)]
+    return tuple(rows)
+
+
+def short_words(sys, n=2):
+    """Every reduced word of length at most n over the symbols of sys."""
+    factors = [(s, x) for s in sys.symbols for x in (1, -1)]
+    words = {EMPTY}
+    for length in range(1, n + 1):
+        words.update(w for w in map(reduce_word, product(factors, repeat=length)) if len(w) == length)
+    return sorted(words)
+
+
+SIGNATURE_SYSTEMS = {
+    "BRANCH": lambda: parse_system(BRANCH),
+    "ZOO": lambda: parse_system(ZOO),
+    **{
+        "random_bounded(%d, 4, %d)" % (seed, degree): lambda seed=seed, degree=degree: random_bounded(seed, 4, degree)
+        for degree in (2, 3, 4, 5)
+        for seed in (1, 2, 3)
+    },
+}
+
+
+@pytest.mark.parametrize("label", SIGNATURE_SYSTEMS)
+def test_signature_classes_match_the_tuple_signature(label):
+    sys = SIGNATURE_SYSTEMS[label]()
+    words = short_words(sys)
+    for k in range(1, SIGNATURE_DEPTH + 1):
+        classes = [sys._depth_class(w, k) for w in words]
+        tuples = [reference_signature(sys, w, k) for w in words]
+        for i, j in combinations(range(len(words)), 2):
+            assert (classes[i] == classes[j]) == (tuples[i] == tuples[j]), (label, k, words[i], words[j])
+    assert all(sys.signature(w) == sys._depth_class(w, SIGNATURE_DEPTH) for w in words)
+
+
+def test_proven_equal_words_share_a_signature():
+    proven = 0
+    for label, build in SIGNATURE_SYSTEMS.items():
+        sys = build()
+        for u, v in combinations(short_words(sys), 2):
+            ru, rv = sys.find(u), sys.find(v)
+            if ru == rv or _bisimulate(sys, ru, rv, 10**4) is True:
+                proven += 1
+                assert sys.signature(u) == sys.signature(v), (label, u, v)
+    assert proven > 100
+
+
+def test_deep_signatures_spare_closure_bisimulations(monkeypatch):
+    # words of the BRANCH closure mostly differ three to five levels
+    # down; a depth-3 signature left 1,415 bisimulations to this call
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bisimulate(*args)
+
+    bisimulate = elements._bisimulate
+    monkeypatch.setattr(elements, "_bisimulate", counted)
+    sys = parse_system(BRANCH)
+    closure = orbit_signalizer(one(sys, "b"), 150)
+    assert len(closure.elements) == 151
+    assert len(calls) < 100
