@@ -13,6 +13,11 @@ conjugating permutation for every configuration, a column-stochastic-
 like integer matrix transports pair counts level to level and a 0/1 row
 reads off how many conjugator states are active.  A conjugator bounded
 along some eventually periodic choice keeps that reading bounded.
+
+Every decider here walks the one ConfigSpace of its system
+(ConfigSpace.of), so a query reads the configuration steps that earlier
+queries on the same system computed.  What one call walks, its universe,
+its FinSat with its caps and its witness symbols, stays with that call.
 """
 
 from __future__ import annotations
@@ -68,6 +73,14 @@ class ConfigSpace:
     The trivial element is interned first so key 0 is always e; the
     dependency sets sort by key, which keeps (e,e) in front.
 
+    ConfigSpace.of(system) is the space the deciders share; it lives as
+    long as its system and grows with every query on it.  That is sound
+    because definitions are append-only and keys are semantic, and an
+    entry is written only once computed, so a walk stopped by a cap
+    leaves none half written.  Concurrent deciders on one system are
+    unsupported, as concurrent define is.  ConfigSpace(system) builds a
+    private space.
+
     Every orbit step is read from tables of pure functions of keys and
     letters.  Write w = word(k), c = word(kc), and let x be a letter whose
     orbit under the root permutation of w has length m, with y = x w^t.
@@ -89,6 +102,13 @@ class ConfigSpace:
         self._powers: dict = {}
         self._orbit_keys: dict = {}
         self._moves: dict = {}
+
+    @classmethod
+    def of(cls, system: FRSystem) -> ConfigSpace:
+        """The space stored on system, created on first use."""
+        if system._space is None:
+            system._space = cls(system)
+        return system._space
 
     def key(self, w: Word) -> int:
         k = self.interner.key(w)
@@ -233,7 +253,7 @@ class ConfigClosure:
 
 def configurations(a: Element, b: Element, cap: int = 512) -> ConfigClosure:
     _require_bounded(a, b)
-    space = ConfigSpace(_same_system(a, b))
+    space = ConfigSpace.of(_same_system(a, b))
     universe: dict = {}
     try:
         root = space.root_config(a, b)
@@ -473,7 +493,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
         return RestrictedDecision("not_conjugate", certificate="not conjugate in Aut: %s" % aut.reason)
     graph = aut.graph
     os_a, os_b = graph.os_a, graph.os_b
-    space = ConfigSpace(sys)
+    space = ConfigSpace.of(sys)
     fin = FinSat(space, cap=max(4096, cap * 8))
     try:
         ka = [space.key(g.word) for g in os_a.elements]
@@ -665,8 +685,10 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
 
 def conjugate_in_pol_inf(a: Element, b: Element, cap: int = 512,
                          budget: int = EQUALITY_BUDGET) -> RestrictedDecision:
-    """For bounded inputs, conjugacy by any polynomial-activity
-    automorphism coincides with conjugacy by a bounded one."""
+    """Conjugacy by a polynomial-activity automorphism, decided for
+    bounded inputs only: for those it coincides with conjugacy by a
+    bounded one, so this is conjugate_in_pol0_cyclic.  Any other input,
+    a polynomial one included, raises NotBounded."""
     return conjugate_in_pol0_cyclic(a, b, cap, budget)
 
 
@@ -737,7 +759,6 @@ class ChoiceSystem:
 
 
 def choice_system(a: Element, b: Element, cap: int = 512) -> ChoiceSystem:
-    _require_bounded(a, b)
     closure = configurations(a, b, cap)
     if not closure.complete:
         return ChoiceSystem(closure, [], [], (), closure.status)

@@ -114,7 +114,20 @@ def finitary_depth(g: Element):
 def polynomial_degree(g: Element) -> ActivityClass:
     """Classification by the cycle structure of the trivial-state-deleted
     machine: exponential when some component branches, otherwise the
-    degree is one less than the longest chain of cycles."""
+    degree is one less than the longest chain of cycles.
+
+    The class is memoised on the system by reduced word; an unknown class
+    is not, since the budget that ran out may not run out again."""
+    memo = g.system._activity
+    cls = memo.get(g.word)
+    if cls is None:
+        cls = _activity_class(g)
+        if cls.kind != "unknown":
+            memo[g.word] = cls
+    return cls
+
+
+def _activity_class(g: Element) -> ActivityClass:
     mach = minimize(g)
     if isinstance(mach, Exceeded):
         return ActivityClass("unknown", witness="minimize exceeded %d %s" % (mach.budget, mach.kind))

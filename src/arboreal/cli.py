@@ -368,7 +368,9 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("w1")
     sp.add_argument("w2")
-    sp.add_argument("--group", choices=["aut", "fsg", "pol-1", "pol0", "polinf"], default="aut")
+    sp.add_argument("--group", choices=["aut", "fsg", "pol-1", "pol0", "polinf"], default="aut",
+                    help="conjugator group (default aut); pol-1, pol0 and polinf take bounded "
+                         "inputs only and refuse others with exit 3")
     sp.add_argument("--emit-conjugator", action="store_true")
     sp.add_argument("--verify-depth", type=_depth, default=10)
     sp.add_argument("--simultaneous", action="store_true",

@@ -74,6 +74,13 @@ class FRSystem:
     later evaluation of s^-1 reads them.  Reads are safe from multiple
     threads under the GIL; concurrent definition is not supported.
 
+    _activity (classify.polynomial_degree) and _space, the deciders'
+    bounded.ConfigSpace, are other modules' caches.  The space lives as
+    long as the system and grows with every query on it, which is sound
+    because definitions are append-only and its keys are semantic.
+    Concurrent deciders on one system are unsupported, as concurrent
+    definition is.
+
     fresh_names is the one name allocator: merges and every conjugator
     synthesis take the names of the symbols they define from it.
     """
@@ -91,6 +98,8 @@ class FRSystem:
         self._classes: dict[tuple, int] = {}
         self._parent: dict[Word, Word] = {}
         self._eq: dict[tuple[Word, Word], bool] = {}
+        self._activity: dict[Word, object] = {}
+        self._space = None
         # per symbol s: (perm of s^-1, section of s^-1 at each letter)
         self._inv: dict[str, tuple[Perm, tuple[Word, ...]]] = {}
 

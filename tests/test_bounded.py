@@ -1,10 +1,13 @@
 """Restricted conjugacy: configuration closures, finitary satisfiability,
 the cyclic decider, and the counting matrix systems."""
 
+import itertools
+
 import pytest
 
 from arboreal import (
     NotBounded,
+    basic_conjugator,
     bounded_choice_search,
     choice_system,
     configurations,
@@ -23,6 +26,7 @@ from arboreal import (
     verify_conjugator,
 )
 from arboreal.bounded import ConfigSpace, Configuration, FinSat, _OrbitStep
+from arboreal.elements import Exceeded
 from arboreal.perms import orbits
 from arboreal.system import merge_into, parse_system, reduce_word
 
@@ -296,6 +300,40 @@ def test_two_ring_conjugators_decide_at_the_default_caps(degree, seed):
     assert verify_conjugator(dec.conjugator, a, b, 8)
 
 
+def decider_records(shared):
+    """Pol(-1), Pol(0) and Aut, in that order, on every corpus pair,
+    each record a decider's tag, class, certificate and witness text.
+    Unless shared, each decider starts from a fresh ConfigSpace."""
+    witness = load_corpus().witness
+    out = []
+    for _, _, _, a, b, _ in load_corpus().pairs(30, 10):
+        for decide in (conjugate_in_pol_minus1, conjugate_in_pol0_cyclic):
+            if not shared:
+                a.system._space = None
+            dec = decide(a, b)
+            out.append((dec.tag, dec.cls, dec.certificate, witness(dec.conjugator)))
+        dec = conjugate_in_aut(a, b)
+        h = basic_conjugator(dec.graph).element if dec.conjugate else None
+        out.append((dec.tag, None, dec.reason, witness(h)))
+    return out
+
+
+def test_shared_space_gives_the_answers_of_fresh_spaces():
+    # the deciders on one system share its ConfigSpace, and the planted
+    # and negative pairs of a seed share one system; what each call
+    # answers and defines must be what it gives on a space of its own
+    shared = decider_records(True)
+    assert shared == decider_records(False)
+    assert {tag for tag, *_ in shared} == {"conjugate", "not_conjugate"}
+
+
+def test_deciders_on_one_system_share_its_space():
+    planted, negative = itertools.islice(load_corpus().pairs(1, 0), 2)
+    (_, _, _, a, b, _), (kind, _, _, a2, u, _) = planted, negative
+    assert kind == "negative" and a2 is a
+    assert configurations(a, b).space is configurations(a, u).space is ConfigSpace.of(a.system)
+
+
 def test_pol0_verdicts_sit_below_the_aut_verdicts():
     # conjugate in Pol(0) => conjugate in Aut, and an Aut negative is a
     # Pol(0) negative with the Aut reason, on planted and coded-negative
@@ -335,19 +373,33 @@ def steps_from_definition(space, cfg, pi):
 
 def test_orbit_steps_match_their_definition():
     # the space computes each move once and serves it to every root
-    # conjugator and to both sides of the pair; every step of every
-    # explored configuration must still be the one the definition gives
-    several_pi = 0
+    # conjugator, to both sides of the pair and to every decider on the
+    # system; every step it holds must still be the one the definition
+    # gives, also after a walk that stopped at its cap part way
+    several_pi = stopped = 0
     for degree, budget_a, budget_h, seeds in ((2, 4, 3, range(20)), (3, 6, 4, range(10))):
         for seed in seeds:
             a, b = planted_pair(seed, degree, budget_a, budget_h)
+            if seed < 3:
+                # walks stopped by an interner key that gives up part way
+                # through a step, and by the config cap
+                interner, calls = ConfigSpace.of(a.system).interner, itertools.count()
+                real = interner.key
+                interner.key = lambda w: real(w) if next(calls) < 4 else Exceeded("test", 0)
+                stopped += configurations(a, b).status == "exceeded: Exceeded(kind='test', budget=0)"
+                del interner.key
+                stopped += configurations(a, b, cap=2).status == "exceeded: config cap 2"
+            conjugate_in_pol0_cyclic(a, b)
+            conjugate_in_pol_minus1(a, b)
             closure = configurations(a, b)
             assert closure.complete
+            assert closure.space is ConfigSpace.of(a.system)
             for cfg, branches in closure.universe.items():
                 several_pi += degree == 3 and len(branches) > 1
-                for pi, steps in branches.items():
-                    assert steps == steps_from_definition(closure.space, cfg, pi)
+            for (cfg, pi), steps in closure.space._succ.items():
+                assert steps == steps_from_definition(closure.space, cfg, pi)
     assert several_pi >= 1
+    assert stopped == 12
 
 
 def from_scratch_depths(fin):

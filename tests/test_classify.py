@@ -17,6 +17,8 @@ from arboreal import (
     polynomial_degree,
     power,
 )
+from arboreal import classify
+from arboreal.elements import Exceeded, minimize
 from arboreal.system import parse_system
 
 from conftest import BRANCH, ODOMETER, TWISTED, ZOO, one
@@ -39,6 +41,33 @@ def test_bounded_means_degree_at_most_zero(zoo):
     assert cls["s"].bounded and cls["a"].bounded
     assert not cls["m"].bounded and not cls["l"].bounded
     assert is_bounded(one(zoo, "a")) and not is_bounded(one(zoo, "l"))
+
+
+def test_activity_class_is_memoised_per_word(zoo, monkeypatch):
+    # a second classification of a word reads the system's memo; a class
+    # that ran out of budget is not kept, so the next call minimizes again
+    calls = []
+    exhausted = [False]
+
+    def counted(g, *args):
+        calls.append(g.word)
+        return Exceeded("states", 1) if exhausted[0] else minimize(g, *args)
+
+    monkeypatch.setattr(classify, "minimize", counted)
+    m = one(zoo, "m")
+    first = polynomial_degree(m)
+    assert str(first) == "Polynomial(1)" and len(calls) == 1
+    assert polynomial_degree(one(zoo, "m")) is first
+    assert polynomial_degree(inverse(inverse(m))) is first
+    assert len(calls) == 1
+    a = one(zoo, "a")
+    exhausted[0] = True
+    cls = polynomial_degree(a)
+    assert cls.kind == "unknown" and cls.witness == "minimize exceeded 1 states"
+    assert len(calls) == 2
+    exhausted[0] = False
+    assert str(polynomial_degree(a)) == "Polynomial(0)" and len(calls) == 3
+    assert polynomial_degree(a).bounded and len(calls) == 3
 
 
 def test_activity_counts_grow_linearly(zoo):

@@ -421,9 +421,13 @@ def test_negative_caps_and_budgets_are_usage_errors(fr, capsys, argv, at_zero):
 
 
 def test_unbounded_restricted_input_exits_three(fr, capsys):
+    # every restricted group takes bounded inputs only: a polynomial or
+    # exponential input is refused as an input error, not answered
     path = fr(ZOO)
-    assert cli.main(["conjugate", path, "l", "l", "--group", "pol0"]) == 3
-    capsys.readouterr()
+    for group in ("pol-1", "pol0", "polinf"):
+        for word, cls in (("m", "Polynomial(1)"), ("l", "Exponential")):
+            assert cli.main(["conjugate", path, word, word + "^-1", "--group", group]) == 3
+            assert capsys.readouterr() == ("", "error: input %s classifies as %s, not bounded\n" % (word, cls))
 
 
 def test_depth_cap_exits_two(fr, capsys):
