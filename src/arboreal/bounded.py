@@ -5,8 +5,9 @@ some level is summarized by its orbit-power pair together with the set
 of section pairs that tie the conjugator states along the orbit to the
 state at the least vertex.  For bounded inputs the set of reachable
 configurations is finite, so the finitary decision is a fixpoint over
-it, and the bounded decision combines finitary seeds with circuit rules
-and an orbit-reduction closure.
+it, walked layer by layer only until the queried depth is at most the
+number of layers expanded, which makes it exact.  The bounded decision
+combines finitary seeds with circuit rules and an orbit reduction.
 
 The matrix procedure is the constructive cross-check: per choice of a
 conjugating permutation for every configuration, a column-stochastic-
@@ -22,6 +23,7 @@ its FinSat with its caps and its witness symbols, stays with that call.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
 from dataclasses import dataclass
@@ -186,29 +188,6 @@ class ConfigSpace:
         self._succ[(cfg, pi)] = out
         return out
 
-    def explore(self, root: Configuration, universe: dict, cap: int, full: str) -> list:
-        """Breadth-first walk from root through the configurations not
-        yet in universe.  Each gets its branches {pi: steps} in universe
-        and is returned, in discovery order.  Raises _CapExceeded(full)
-        when universe would hold more than cap configurations."""
-        if root in universe:
-            return []
-
-        def successors(cfg):
-            # a generator: a walk stopped at the cap computes no more steps
-            branches = universe[cfg] = {}
-            for pi in self.cpi(*cfg.main):
-                branches[pi] = steps = self.steps(cfg, pi)
-                for s in steps:
-                    if s.config not in universe:
-                        yield s.config
-
-        room = cap - len(universe)
-        added = breadth_first(root, successors, room) if room > 0 else None
-        if added is None:
-            raise _CapExceeded(full)
-        return added
-
     def describe(self, cfg: Configuration) -> str:
         pair = "(%s, %s)" % (format_word(self.word(cfg.main[0])), format_word(self.word(cfg.main[1])))
         dps = ", ".join(
@@ -254,13 +233,18 @@ class ConfigClosure:
 def configurations(a: Element, b: Element, cap: int = 512) -> ConfigClosure:
     _require_bounded(a, b)
     space = ConfigSpace.of(_same_system(a, b))
-    universe: dict = {}
+    # the root is walked whatever the cap
+    fin = FinSat(space, max(cap, 1), "config cap %d" % cap)
     try:
         root = space.root_config(a, b)
-        # the root is walked whatever the cap
-        space.explore(root, universe, max(cap, 1), "config cap %d" % cap)
+        breadth_first(root, lambda c: [s.config for steps in fin.expand(c).values() for s in steps])
     except _CapExceeded as exc:
         return ConfigClosure(space, None, [], {}, set(), "exceeded: %s" % (exc.info,))
+    return _closure(space, root, fin.univ)
+
+
+def _closure(space: ConfigSpace, root: Configuration, universe: dict) -> ConfigClosure:
+    """The ConfigClosure of a universe closed under successors."""
     # a configuration with no conjugator has one empty group and dies
     groups: dict = {}
     for cfg, branches in universe.items():
@@ -285,6 +269,11 @@ def _conjugates(sys: FRSystem, h: Word, a: Word, b: Word, budget: int):
 # -- finitary conjugators --------------------------------------------------------
 
 
+def _trivial(cfg: Configuration) -> bool:
+    """Every pair of cfg equal: the trivial automorphism satisfies it."""
+    return cfg.main[0] == cfg.main[1] and all(kc == kd for kc, kd in cfg.dp)
+
+
 class FinSat:
     """Least fixpoint of finitary satisfiability over configurations.
 
@@ -292,65 +281,96 @@ class FinSat:
     semantically equal (the trivial automorphism works); depth k+1 needs
     a permutation whose induced configurations all lie at depth <= k.
     Witnesses are synthesized bottom-up as fresh symbols.
+
+    satisfiable(cfg) walks breadth-first from cfg and after each layer
+    runs the fixpoint over univ, the configurations expanded, taking the
+    others as unsatisfiable unless trivial.  After L layers a depth d at
+    distance r is exact if d <= L - r: its witness tree lies inside.  Only
+    exact depths and their _pi are recorded, and the walk stops once cfg's
+    depth is at most L; None needs a closed walk, which marks what it left
+    without a depth dead.  cap bounds univ, over all walks.
     """
 
-    def __init__(self, space: ConfigSpace, cap: int = 4096):
+    def __init__(self, space: ConfigSpace, cap: int = 4096, full: str | None = None):
         self.space = space
         self.cap = cap
+        self.full = full or "finitary universe cap %d" % cap
         self.univ: dict = {}
         self.depth: dict = {}
         self._pi: dict = {}
+        self.dead: set = set()
         self._witness: dict = {}
         self.status = "complete"
 
-    def ensure(self, cfg: Configuration):
-        if cfg in self.univ or self.status != "complete":
-            return
-        try:
-            added = self.space.explore(cfg, self.univ, self.cap, "finitary universe cap %d" % self.cap)
-        except _CapExceeded as exc:
-            self.status = "exceeded: %s" % (exc.info,)
-            return
-        self._refix(added)
+    def expand(self, cfg: Configuration) -> dict:
+        """The branches {pi: steps} of cfg, stored in univ when first
+        computed; _CapExceeded(full) if that passes the cap."""
+        branches = self.univ.get(cfg)
+        if branches is None:
+            if len(self.univ) >= self.cap:
+                raise _CapExceeded(self.full)
+            branches = self.univ[cfg] = {pi: self.space.steps(cfg, pi) for pi in self.space.cpi(*cfg.main)}
+        return branches
 
-    def _refix(self, added):
-        """Extend the fixpoint to the configurations just added.
+    # One walk's fixpoint: the branch steps of cfg, at distance r, waits
+    # on one induced configuration without a depth at a time; once all
+    # have depths it is ready, valued one more than the largest, and _run
+    # gives least values first where r plus value is within the horizon.
 
-        The universe is closed under successors, so a configuration
-        added later is never a successor of an earlier one and cannot
-        change its depth: only the new configurations need sweeping.
-        Round k may still read an earlier configuration of depth k-1,
-        so the rounds run on until nothing changes past the largest
-        depth already known."""
+    def _watch(self, cfg: Configuration, r: int, steps: tuple):
         depth = self.depth
-        top = max(depth.values(), default=0)
-        todo = []
-        for cfg in added:
-            if cfg.main[0] == cfg.main[1] and all(kc == kd for kc, kd in cfg.dp):
-                depth[cfg] = 0
-            else:
-                todo.append(cfg)
-        k = 0
-        changed = True
-        while todo and (changed or k <= top):
-            changed = False
-            k += 1
-            rest = []
-            for cfg in todo:
-                branches = self.univ[cfg]
-                for pi in self.space.cpi(*cfg.main):
-                    if all(depth.get(s.config, k) < k for s in branches[pi]):
-                        depth[cfg] = k
-                        self._pi[cfg] = pi
-                        changed = True
-                        break
-                else:
-                    rest.append(cfg)
-            todo = rest
+        wait = next((s.config for s in steps if s.config not in depth), None)
+        if wait is None:
+            heapq.heappush(self._heap, (1 + max(depth[s.config] for s in steps), r, cfg))
+        else:
+            self._waits.setdefault(wait, []).append((cfg, r, steps))
+
+    def _run(self, horizon: int | None):
+        depth, later = self.depth, []
+        while self._heap:
+            v, r, cfg = entry = heapq.heappop(self._heap)
+            if cfg in depth:
+                continue
+            if horizon is not None and r + v > horizon:
+                later.append(entry)
+                continue
+            depth[cfg] = v
+            self._pi[cfg] = next(pi for pi, steps in self.univ[cfg].items()
+                                 if all(depth.get(s.config, v) < v for s in steps))
+            for branch in self._waits.pop(cfg, ()):
+                self._watch(*branch)
+        self._heap = later  # popped in order, so already a heap
 
     def satisfiable(self, cfg: Configuration):
-        self.ensure(cfg)
-        return self.depth.get(cfg)
+        """Depth of cfg, or None: unsatisfiable, or the cap was hit."""
+        depth = self.depth
+        if cfg in depth or cfg in self.dead or self.status != "complete":
+            return depth.get(cfg)
+        if _trivial(cfg):
+            depth[cfg] = 0
+        self._waits, self._heap = {}, []
+        layer, seen, dead, r = [cfg], {cfg}, self.dead, 0
+        try:
+            while layer and cfg not in depth:
+                nxt = []
+                for c in layer:
+                    branches = self.expand(c)
+                    for s in [t.config for steps in branches.values() for t in steps]:
+                        if s not in seen and s not in depth and s not in dead:
+                            seen.add(s)
+                            nxt.append(s)
+                            if _trivial(s):
+                                depth[s] = 0
+                    if c not in depth:
+                        for steps in branches.values():
+                            self._watch(c, r, steps)
+                self._run(r + 1 if nxt else None)
+                layer, r = nxt, r + 1
+        except _CapExceeded as exc:  # cfg is left without a depth
+            self.status = "exceeded: %s" % (exc.info,)
+        if not layer:  # closed: every configuration seen was expanded
+            dead.update(c for c in seen if c not in depth)
+        return depth.get(cfg)
 
     def witness_word(self, cfg: Configuration) -> Word:
         """Word of a finitary automorphism satisfying cfg; requires
@@ -392,9 +412,8 @@ def finitary_satisfiable(closure: ConfigClosure) -> FinSatReport:
     if not closure.complete:
         return FinSatReport(closure, [], None, None, closure.status)
     fin = FinSat(closure.space)
-    fin.univ = {cfg: dict(branches) for cfg, branches in closure.universe.items()}
-    fin._refix(list(fin.univ))
-    sat = [(cfg, fin.depth[cfg]) for cfg in closure.configs if cfg in fin.depth]
+    fin.univ = closure.universe  # walks read its branches and add none
+    sat = [(cfg, d) for cfg in closure.configs if (d := fin.satisfiable(cfg)) is not None]
     root_depth = fin.depth.get(closure.root)
     witness = None
     if root_depth is not None:
@@ -424,26 +443,33 @@ class RestrictedDecision:
 
 def conjugate_in_pol_minus1(a: Element, b: Element, cap: int = 512,
                             budget: int = EQUALITY_BUDGET) -> RestrictedDecision:
-    """Conjugacy by a finitary automorphism."""
-    closure = configurations(a, b, cap)
-    if not closure.complete:
-        return RestrictedDecision("unknown", certificate=closure.status)
-    report = finitary_satisfiable(closure)
-    if report.status != "complete":
-        return RestrictedDecision("unknown", certificate=report.status)
-    if report.root_depth is None:
-        n_sat = len(report.sat)
+    """Conjugacy by a finitary automorphism: FinSat.satisfiable of the
+    root configuration, with a cap of at least one.  An unsatisfiable
+    root's closed walk is the closure its certificate counts."""
+    _require_bounded(a, b)
+    space = ConfigSpace.of(_same_system(a, b))
+    fin = FinSat(space, max(cap, 1), "config cap %d" % cap)
+    try:
+        root = space.root_config(a, b)
+    except _CapExceeded as exc:
+        return RestrictedDecision("unknown", certificate="exceeded: %s" % (exc.info,))
+    depth = fin.satisfiable(root)
+    if fin.status != "complete":
+        return RestrictedDecision("unknown", certificate=fin.status)
+    if depth is None:
+        closure = _closure(space, root, fin.univ)
         return RestrictedDecision(
             "not_conjugate",
             certificate="root configuration unsatisfiable; %d of %d surviving configurations admit finitary conjugators"
-            % (n_sat, len(closure.configs)),
+            % (sum(cfg in fin.depth for cfg in closure.configs), len(closure.configs)),
         )
-    h = report.witness
+    h = Element(space.system, fin.witness_word(root))
+    space.system.validate()
     if _conjugates(h.system, h.word, a.word, b.word, budget) is not True:
         log.error("finitary witness failed verification for (%s, %s)", a, b)
         return RestrictedDecision("unknown", certificate="witness verification failed")
     return RestrictedDecision(
-        "conjugate", h, "finitary", certificate="finitary conjugator of depth %d" % report.root_depth
+        "conjugate", h, "finitary", certificate="finitary conjugator of depth %d" % depth
     )
 
 
@@ -509,8 +535,8 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
         return [(s, edges[s.letter]) for s in space.steps(space.pair_config(ka[i], kb[j]), pi)]
 
     # seed: finitary conjugator for the pair itself.  Once the seed rule
-    # has passed over every pair, all pair configurations are explored,
-    # so the later rules read cached steps.
+    # has passed over every pair, every non-trivial pair configuration is
+    # expanded, so the later rules read cached steps.
     def seed(i, j):
         cfg = space.pair_config(ka[i], kb[j])
         if fin.satisfiable(cfg) is not None:

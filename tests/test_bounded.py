@@ -2,6 +2,7 @@
 the cyclic decider, and the counting matrix systems."""
 
 import itertools
+import random
 
 import pytest
 
@@ -402,20 +403,32 @@ def test_orbit_steps_match_their_definition():
     assert stopped == 12
 
 
-def from_scratch_depths(fin):
-    """The finitary fixpoint swept over the whole universe at once."""
+def full_closure(space, roots):
+    """Every configuration reachable from roots, with its branches
+    {pi: steps}, walked to the end."""
+    universe, todo = {}, list(roots)
+    while todo:
+        cfg = todo.pop()
+        if cfg not in universe:
+            universe[cfg] = {pi: space.steps(cfg, pi) for pi in space.cpi(*cfg.main)}
+            todo.extend(s.config for steps in universe[cfg].values() for s in steps)
+    return universe
+
+
+def from_scratch_depths(space, universe):
+    """The finitary fixpoint swept over a closed universe at once."""
     depth, pis = {}, {}
-    for cfg in fin.univ:
+    for cfg in universe:
         if cfg.main[0] == cfg.main[1] and all(kc == kd for kc, kd in cfg.dp):
             depth[cfg] = 0
     k, changed = 0, True
     while changed:
         changed = False
         k += 1
-        for cfg, branches in fin.univ.items():
+        for cfg, branches in universe.items():
             if cfg in depth:
                 continue
-            for pi in fin.space.cpi(*cfg.main):
+            for pi in space.cpi(*cfg.main):
                 if all(s.config in depth and depth[s.config] < k for s in branches[pi]):
                     depth[cfg], pis[cfg] = k, pi
                     changed = True
@@ -423,38 +436,91 @@ def from_scratch_depths(fin):
     return depth, pis
 
 
+def assert_full_sweep(fin, roots, answers):
+    """What fin answered for roots and every depth, branch and dead
+    configuration it recorded is what the sweep over the full closure of
+    roots gives."""
+    depth, pis = from_scratch_depths(fin.space, full_closure(fin.space, roots))
+    assert answers == [depth.get(root) for root in roots]
+    assert fin.depth == {cfg: depth[cfg] for cfg in fin.depth}
+    assert fin._pi == {cfg: pis[cfg] for cfg in fin.depth if fin.depth[cfg]}
+    assert fin.dead.isdisjoint(depth)
+
+
 def test_incremental_finitary_fixpoint_matches_a_full_sweep():
-    late_deep = 0
+    # FinSat walks from a configuration only until its depth is settled,
+    # and a later walk reads what earlier ones recorded
+    late_deep = stopped_early = 0
     for degree, budget_a, budget_h, seeds in ((2, 4, 3, range(24)), (3, 6, 4, range(2))):
         for seed in seeds:
             a, b = planted_pair(seed, degree, budget_a, budget_h)
             space = ConfigSpace(a.system)
             fin = FinSat(space)
+            roots, answers = [], []
             for c in orbit_signalizer(a, 512, letters="all").elements:
                 for d in orbit_signalizer(b, 512, letters="all").elements:
-                    before = set(fin.univ)
-                    fin.satisfiable(space.pair_config(space.key(c.word), space.key(d.word)))
+                    roots.append(space.pair_config(space.key(c.word), space.key(d.word)))
+                    before = set(fin.depth)
+                    answers.append(fin.satisfiable(roots[-1]))
                     if before:
-                        late_deep += any(fin.depth.get(k, 0) >= 2 for k in fin.univ if k not in before)
+                        late_deep += any(v >= 2 for k, v in fin.depth.items() if k not in before)
             assert fin.status == "complete"
-            assert (fin.depth, fin._pi) == from_scratch_depths(fin)
-    # later batches reach depths that need rounds past their own changes
+            assert_full_sweep(fin, roots, answers)
+            stopped_early += len(fin.univ) < len(full_closure(space, roots))
+    # later walks reach depths that need rounds past their own changes
     assert late_deep >= 3
+    assert stopped_early >= 1
 
+
+class GraphSpace:
+    """A stand-in for ConfigSpace over an explicit graph: node n has the
+    branches graph[n], each a list of the nodes it induces.  Node n is
+    Configuration((n, n), ...) when trivial and ((n, -1), ...) when not,
+    and its root conjugators are the indices of its branches."""
+
+    def __init__(self, graph, trivial):
+        self.graph = graph
+        self.node = [Configuration((n, n if n in trivial else -1), ((0, 0),)) for n in range(len(graph))]
+
+    def cpi(self, ka, kb):
+        return tuple(range(len(self.graph[ka])))
+
+    def steps(self, cfg, pi):
+        return tuple(_OrbitStep(x, 1, self.node[n], ()) for x, n in enumerate(self.graph[cfg.main[0]][pi]))
+
+
+def test_finitary_walks_match_a_full_sweep_on_random_graphs():
+    # a branch that looks best inside the layers walked so far may lose
+    # to one that leads further out, so only depths within the horizon
+    # may be recorded; every walk, fresh or reading what earlier walks
+    # on the same FinSat recorded, must agree with the full sweep
+    rng = random.Random(15)
+    for _ in range(300):
+        n = rng.randint(3, 14)
+        trivial = set(rng.sample(range(n), rng.randint(1, 3)))
+        graph = [[[rng.randrange(n) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(0, 3))]
+                 for _ in range(n)]
+        space = GraphSpace(graph, trivial)
+        shared, roots, answers = FinSat(space), [], []
+        for v in rng.sample(range(n), n):
+            fresh = FinSat(space)
+            roots.append(space.node[v])
+            assert_full_sweep(fresh, roots[-1:], [fresh.satisfiable(roots[-1])])
+            answers.append(shared.satisfiable(roots[-1]))
+            assert_full_sweep(shared, roots, answers)
 
 
 def finsat_run(space, roots, cap):
     fin = FinSat(space, cap=cap)
-    for root in roots:
-        fin.satisfiable(root)
-    return fin
+    return fin, [fin.satisfiable(root) for root in roots]
 
 
 def test_finitary_universe_cap_counts_distinct_configurations():
-    # the cap bounds the distinct configurations of the universe: a cap
-    # equal to the universe a run walks keeps it complete, one less
-    # gives up and names the cap; the runs walk from the input pair
-    # alone, then from every orbit-power pair as well
+    # the cap bounds the distinct configurations the walks expand: a cap
+    # equal to what a run expands keeps it complete, with the answers of
+    # the full sweep, and one less gives up and names the cap; the runs
+    # walk from the input pair alone, then from every orbit-power pair
+    # as well
     for seed in range(40):
         a, b = planted_pair(seed, 2, 4, 3)
         space = ConfigSpace(a.system)
@@ -464,10 +530,45 @@ def test_finitary_universe_cap_counts_distinct_configurations():
             for d in orbit_signalizer(b, 512, letters="all").elements
         ]
         for roots in ([space.root_config(a, b)], [space.root_config(a, b)] + pairs):
-            full = finsat_run(space, roots, 4096)
+            full, answers = finsat_run(space, roots, 4096)
+            assert_full_sweep(full, roots, answers)
             size = len(full.univ)
-            exact = finsat_run(space, roots, size)
+            if not size:  # trivial roots are answered without a walk
+                assert answers == [0] * len(roots)
+                continue
+            exact, exact_answers = finsat_run(space, roots, size)
             assert exact.status == "complete"
-            assert (exact.univ, exact.depth) == (full.univ, full.depth)
-            short = finsat_run(space, roots, size - 1)
+            assert (exact.univ, exact.depth, exact_answers) == (full.univ, full.depth, answers)
+            short, _ = finsat_run(space, roots, size - 1)
             assert short.status == "exceeded: finitary universe cap %d" % (size - 1)
+
+
+def test_pol_minus1_stops_once_the_root_depth_is_settled():
+    # degree 3, seed 26 of the planted recipe: the root has finitary
+    # depth 1, settled by expanding the root alone, where the whole
+    # universe from the root holds 351 configurations
+    a, b = planted_pair(26, 3, 6, 4)
+    dec = conjugate_in_pol_minus1(a, b, cap=1)
+    assert dec.certificate == "finitary conjugator of depth 1"
+    assert verify_conjugator(dec.conjugator, a, b, 6)
+    closure = configurations(*planted_pair(26, 3, 6, 4))
+    assert len(closure.universe) == 351
+    witness = load_corpus().witness
+    assert witness(dec.conjugator) == witness(finitary_satisfiable(closure).witness)
+
+
+def test_pol_minus1_answers_as_the_full_sweep():
+    # verdict, certificate and witness text of Pol(-1) against the sweep
+    # over the whole closure, each on its own copy of the corpus systems
+    witness = load_corpus().witness
+    corpus = zip(load_corpus().pairs(30, 10), load_corpus().pairs(30, 10))
+    for (_, _, _, a, b, _), (_, _, _, a2, b2, _) in corpus:
+        dec = conjugate_in_pol_minus1(a, b)
+        rep = finitary_satisfiable(configurations(a2, b2))
+        assert witness(dec.conjugator) == witness(rep.witness)
+        if rep.root_depth is None:
+            assert dec.certificate == (
+                "root configuration unsatisfiable; %d of %d surviving configurations admit finitary conjugators"
+                % (len(rep.sat), len(rep.closure.configs)))
+        else:
+            assert dec.certificate == "finitary conjugator of depth %d" % rep.root_depth

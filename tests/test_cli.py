@@ -252,6 +252,17 @@ def test_negative_and_unknown_verdicts_print_their_reason(fr, capsys):
     assert run(capsys, "conjugate", odo, "a", "a^-1")[1] == "conjugate\n"
 
 
+def test_pol_minus1_answers_within_a_small_cap(fr, capsys):
+    # p = p^-1 in the carry machines, so the root configuration has depth
+    # 0; the walk stops there, where the whole universe passes cap 1
+    path = fr(CARRY, "carry.fr")
+    code, out = run(capsys, "conjugate", path, "p", "p^-1", "--cap", "1", "--group", "pol-1")
+    assert (code, out) == (0, "conjugate\n")
+    code, report = run_json(capsys, "conjugate", path, "p", "p^-1", "--cap", "1", "--group", "pol-1")
+    assert code == 0
+    assert report["witness"] == {"class": "finitary", "system": "", "verified_depth": 10, "word": "e"}
+
+
 def test_conjugate_emits_a_loadable_witness(fr, capsys, tmp_path):
     path = fr(CARRY)
     code, out = run(capsys, "conjugate", path, "p", "q", "--group", "pol0",
