@@ -15,7 +15,9 @@ every surviving successor.
 
 Simultaneous conjugacy of tuples runs the same game with Schreier
 generators of the joint stabilizer of each orbit, which is what makes
-constraints between different coordinates visible.
+constraints between different coordinates visible.  A tuple vertex's
+successor at a joint orbit depends on its root conjugator only through
+the image of the orbit's least letter, so it is built once per image.
 """
 
 from __future__ import annotations
@@ -227,29 +229,38 @@ def _eval_index_word(words: list[Word], iw) -> Word:
     return reduce_word(out)
 
 
-def _schreier_pairs(sys, a_words, b_words, perms_a, orbit_info, pi):
-    """Constraint pairs at the least letter of one joint orbit.
+def _schreier_words(sys, a_words, b_words, perms_a, orbit_info):
+    """The Schreier words of one joint orbit, evaluated on both sides.
 
     For every orbit letter y and every generator index t, the Schreier
-    word t_y * g_t * t_{(y)g_t}^-1 stabilizes the base letter; its
-    evaluations on the two sides, sectioned at the base letter and its
-    pi-image, must be conjugate by the section of the conjugator there.
+    word t_y * g_t * t_{(y)g_t}^-1 stabilizes the base letter y0.  Each
+    comes as its a-side evaluation sectioned at y0 and its whole b-side
+    evaluation, which is sectioned at the base image of a conjugator.
     Tree edges reduce to the empty word and are skipped.
     """
     y0, orb, words = orbit_info
-    pairs = []
-    seen = set()
+    out = []
     for y in orb:
         for t in range(len(a_words)):
             iw = reduce_word(words[y] + ((t, 1),) + invert_word(words[perms_a[t][y]]))
-            if not iw:
-                continue
-            wa = sys.section(_eval_index_word(a_words, iw), y0)
-            wb = sys.section(_eval_index_word(b_words, iw), pi[y0])
-            key = (sys.find(wa), sys.find(wb))
-            if key not in seen:
-                seen.add(key)
-                pairs.append((wa, wb))
+            if iw:
+                out.append((sys.section(_eval_index_word(a_words, iw), y0), _eval_index_word(b_words, iw)))
+    return out
+
+
+def _constraint_pairs(sys, schreier, z):
+    """Distinct constraint pairs of one joint orbit for the conjugators
+    that map its base letter to z: the a-side of each Schreier word and
+    its b-side sectioned at z, which the section of the conjugator at
+    the base letter must conjugate into each other."""
+    pairs = []
+    seen = set()
+    for wa, ub in schreier:
+        wb = sys.section(ub, z)
+        key = (sys.find(wa), sys.find(wb))
+        if key not in seen:
+            seen.add(key)
+            pairs.append((wa, wb))
     return pairs
 
 
@@ -270,9 +281,11 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> ConjGraph:
     must be conjugate by one section of the conjugator.  The vertices
     of a node are (tk, tau), tau a common root conjugator of its pairs,
     and at the least letter of each joint orbit of the a-side a vertex
-    leads to the tuple of its Schreier constraint pairs.  Status
-    "exceeded" (and an empty graph) when a word comparison runs out of
-    budget or more than cap vertices are found.
+    leads to the tuple of its Schreier constraint pairs.  That successor
+    depends on tau only through the image of the orbit's least letter,
+    so it is built once per image.  Status "exceeded" (and an empty
+    graph) when a word comparison runs out of budget or more than cap
+    vertices are found.
     """
     if len(as_) != len(bs) or not as_:
         raise ValueError("need equally many source and target elements")
@@ -305,13 +318,20 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> ConjGraph:
         opts = None
         for p, wb in zip(perms_a, b_words):
             cs = conjugators(p, sys.root_perm(wb))
-            opts = list(cs) if opts is None else [tau for tau in opts if tau in cs]
+            opts = cs if opts is None else list(filter(set(cs).__contains__, opts))
             if not opts:
                 return [], [], []
         joint = _joint_orbits(perms_a, sys.degree)
+        schreier = [_schreier_words(sys, a_words, b_words, perms_a, info) for info in joint]
+        built: dict = {}  # (orbit index, base image) -> tuple key
         rows = []
         for pi in opts:
-            row = [tuple_key(_schreier_pairs(sys, a_words, b_words, perms_a, info, pi)) for info in joint]
+            row = []
+            for n, (y0, _, _) in enumerate(joint):
+                at = (n, pi[y0])
+                if at not in built:
+                    built[at] = tuple_key(_constraint_pairs(sys, schreier[n], pi[y0]))
+                row.append(built[at])
             if None in row:
                 return None
             rows.append([(tk2,) for tk2 in row])

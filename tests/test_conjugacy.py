@@ -24,13 +24,14 @@ from arboreal import (
     sim_conj_graph,
     verify_conjugator,
 )
+from arboreal import conjugacy
 from arboreal.classify import orbit_signalizer
-from arboreal.conjugacy import _joint_orbits, _schreier_pairs
+from arboreal.conjugacy import _eval_index_word, _joint_orbits
 from arboreal.elements import Interner
 from arboreal.graphs import surviving
 from arboreal.oracle import random_bounded
 from arboreal.perms import orbits
-from arboreal.system import merge_into, parse_system
+from arboreal.system import invert_word, merge_into, parse_system, reduce_word
 
 from conftest import BRANCH, CARRY, TWISTED, one
 from test_identity_corpus import load as load_corpus
@@ -285,10 +286,38 @@ def reference_conj_graph(a, b, cap=512):
     return vertices, edges, [v for v in vertices if v[:2] == (0, 0)], reachable
 
 
+def schreier_pairs(sys, a_words, b_words, perms_a, orbit_info, pi):
+    """Constraint pairs at the least letter of one joint orbit.
+
+    For every orbit letter y and every generator index t, the Schreier
+    word t_y * g_t * t_{(y)g_t}^-1 stabilizes the base letter; its
+    evaluations on the two sides, sectioned at the base letter and its
+    pi-image, must be conjugate by the section of the conjugator there.
+    Tree edges reduce to the empty word and are skipped.
+    """
+    y0, orb, words = orbit_info
+    pairs = []
+    seen = set()
+    for y in orb:
+        for t in range(len(a_words)):
+            iw = reduce_word(words[y] + ((t, 1),) + invert_word(words[perms_a[t][y]]))
+            if not iw:
+                continue
+            wa = sys.section(_eval_index_word(a_words, iw), y0)
+            wb = sys.section(_eval_index_word(b_words, iw), pi[y0])
+            key = (sys.find(wa), sys.find(wb))
+            if key not in seen:
+                seen.add(key)
+                pairs.append((wa, wb))
+    return pairs
+
+
 def reference_sim_conj_graph(as_, bs):
     """(vertices, edges, roots, number of vertices found) of the tuple
     graph without a cap, each orbit edge listing every vertex of its
-    successor tuple, or None when a word comparison runs out of budget."""
+    successor tuple, or None when a word comparison runs out of budget.
+    Every vertex builds the constraint tuple of each joint orbit from
+    its own root conjugator."""
     sys = as_[0].system
     intern = Interner(sys)
 
@@ -323,7 +352,7 @@ def reference_sim_conj_graph(as_, bs):
         perms_a = [sys.root_perm(w) for w in a_words]
         all_edges[v] = {}
         for info in _joint_orbits(perms_a, sys.degree):
-            tk2 = tuple_key(_schreier_pairs(sys, a_words, b_words, perms_a, info, pi))
+            tk2 = tuple_key(schreier_pairs(sys, a_words, b_words, perms_a, info, pi))
             if tk2 is None:
                 return None
             all_edges[v][info[0]] = succs = options(tk2)
@@ -372,6 +401,36 @@ def planted_tuples():
         return gs, [multiply(multiply(inverse(h), g), h) for g in gs]
 
     yield carry
+
+
+def planted_triples():
+    """Builders of ([g, f, x], [g^h, f^h, x^h]) with one planted
+    finite-state h on random bounded systems of degrees 3 and 4, x the
+    middle symbol: joint orbits with several generators, and root
+    conjugators sharing the image of an orbit's least letter."""
+    for d in (3, 4):
+        for k in range(12):
+            def build(k=k, d=d):
+                sys = random_bounded(k, 6, d)
+                other = random_bounded(1000 + k, 3, d)
+                h = one(sys, merge_into(sys, other)[other.symbols[-1]])
+                names = sys.symbols
+                gs = [one(sys, names[-1]), one(sys, names[0]), one(sys, names[len(names) // 2])]
+                return gs, [multiply(multiply(inverse(h), g), h) for g in gs]
+            yield build
+
+
+# degree 5 with trivial root permutations on a and b (and on their
+# conjugates by t): every one of the 120 permutations is a common root
+# conjugator of the input tuple
+TRIVIAL_ROOTS = """\
+alphabet 5
+s = (e, e, e, e, e) [1 0 2 3 4]
+r = (e, e, e, e, e) [1 2 0 3 4]
+a = (s, e, r, e, a)
+b = (e, r, e, s, e)
+t = (r, e, e, e, s) [4 3 2 1 0]
+"""
 
 
 def test_pair_level_graph_matches_the_triple_level_reference():
@@ -430,7 +489,8 @@ def test_the_pair_graph_and_the_one_tuple_graph_are_one_graph():
 
 
 def test_tuple_node_graph_matches_the_vertex_level_reference():
-    for build in planted_tuples():
+    shared_images = multi_generator = 0
+    for build in [*planted_tuples(), *planted_triples()]:
         graph = sim_conj_graph(*build(), cap=10**6)
         vertices, edges, roots, _ = reference_sim_conj_graph(*build())
         assert graph.complete
@@ -438,6 +498,54 @@ def test_tuple_node_graph_matches_the_vertex_level_reference():
         assert graph.roots == roots
         assert list(graph.edges) == vertices
         assert [list(graph.edges[v].items()) for v in vertices] == [list(edges[v].items()) for v in vertices]
+        sys, words = graph.interner.system, graph.interner.words
+        for (tk,), live in graph.pairs.items():
+            perms = [sys.root_perm(words[ka]) for ka, _ in tk]
+            for y0, orb, _ in _joint_orbits(perms, sys.degree):
+                multi_generator += sum(any(p[y] != y for y in orb) for p in perms) > 1
+                images = [v[-1][y0] for v in live]
+                shared_images += len(set(images)) < len(images)
+    # the inputs reach joint orbits moved by several components, and
+    # surviving root conjugators that share an orbit's base image
+    assert multi_generator and shared_images
+
+
+def test_a_tuple_node_builds_one_constraint_tuple_per_orbit_and_image(monkeypatch):
+    def build():
+        sys = parse_system(TRIVIAL_ROOTS)
+        gs, h = [one(sys, "a"), one(sys, "b")], one(sys, "t")
+        return gs, [multiply(multiply(inverse(h), g), h) for g in gs]
+
+    as_, bs = build()
+    for a, b in zip(as_, bs):
+        assert len(conjugators(a.root_perm, b.root_perm)) == 120
+    # builds[n] counts the constraint tuples of the n-th expanded node,
+    # which has orbit_counts[n] joint orbits
+    builds, orbit_counts = [], []
+    joint_orbits, constraint_pairs = conjugacy._joint_orbits, conjugacy._constraint_pairs
+
+    def counted_orbits(perms, degree):
+        out = joint_orbits(perms, degree)
+        orbit_counts.append(len(out))
+        builds.append(0)
+        return out
+
+    def counted_pairs(*args):
+        builds[-1] += 1
+        return constraint_pairs(*args)
+
+    monkeypatch.setattr(conjugacy, "_joint_orbits", counted_orbits)
+    monkeypatch.setattr(conjugacy, "_constraint_pairs", counted_pairs)
+    graph = sim_conj_graph(as_, bs, cap=10**6)
+    assert graph.complete and graph.roots
+    # the root has five one-letter orbits and 120 vertices: 25 tuples, not 600
+    assert builds[0] == 25
+    assert all(n <= k * 5 for n, k in zip(builds, orbit_counts))
+    monkeypatch.undo()
+    vertices, edges, roots, _ = reference_sim_conj_graph(*build())
+    assert graph.vertices == vertices
+    assert graph.roots == roots
+    assert [list(graph.edges[v].items()) for v in vertices] == [list(edges[v].items()) for v in vertices]
 
 
 def test_the_tuple_cap_bounds_every_vertex_found():
