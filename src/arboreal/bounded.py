@@ -34,7 +34,7 @@ from .conjugacy import _orbit_sections, conjugate_in_aut
 from .elements import EQUALITY_BUDGET, Element, Exceeded, Interner, _equal_words, _same_system
 from .graphs import breadth_first, surviving
 from .perms import Perm, compose, conjugators, is_identity, inverse as perm_inverse, orbits
-from .system import EMPTY, FRSystem, Word, format_word, invert_word, reduce_word
+from .system import EMPTY, FRSystem, Word, format_word, invert_word, join
 
 log = logging.getLogger("arboreal.bounded")
 
@@ -152,7 +152,7 @@ class ConfigSpace:
         """Key of (w^t * c)|_x for an entry (k, kc, x, y) missing from
         _moves, which steps reads inline: w = word(k), c = word(kc)."""
         k, kc, x, y = entry
-        moved = reduce_word(self.powers(k, x)[t] + self.system.section(self.word(kc), y))
+        moved = join(self.powers(k, x)[t], self.system.section(self.word(kc), y))
         km = self._moves[entry] = self.key(moved)
         return km
 
@@ -263,7 +263,7 @@ def _closure(space: ConfigSpace, root: Configuration, universe: dict) -> ConfigC
 
 def _conjugates(sys: FRSystem, h: Word, a: Word, b: Word, budget: int):
     """Check h^-1 * a * h == b: True / False / Exceeded."""
-    return _equal_words(sys, reduce_word(invert_word(h) + a + h), b, budget)
+    return _equal_words(sys, join(join(invert_word(h), a), h), b, budget)
 
 
 # -- finitary conjugators --------------------------------------------------------
@@ -560,7 +560,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
                         if fin.satisfiable(cfg_v) is None:
                             continue
                         g_word = fin.witness_word(cfg_v)
-                        h_word = reduce_word(pc[pos][t] + g_word + invert_word(pd[pos][t]))
+                        h_word = join(join(pc[pos][t], g_word), invert_word(pd[pos][t]))
                         if _conjugates(sys, h_word, wc, wd, budget) is True:
                             dist[(i, j)] = ("moving", h_word)
                             return

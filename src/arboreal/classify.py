@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .elements import Element, Exceeded, Interner, _same_system, minimize
 from .graphs import strongly_connected_components
 from .perms import orbits
-from .system import EMPTY, invert_word, reduce_word
+from .system import EMPTY, invert_word, join
 
 
 class _Sentinel:
@@ -322,7 +322,7 @@ def _explore_product(intern, nset, u, v, node_cap):
     Returns ("ok", depth), ("recurrent", keys) for keys on cycles, or
     ("unknown", reason)."""
     sys = intern.system
-    k = intern.key(reduce_word(intern.words[u] + intern.words[v]))
+    k = intern.key(join(intern.words[u], intern.words[v]))
     if isinstance(k, Exceeded):
         return ("unknown", "equality budget exceeded")
     if k in nset:

@@ -30,7 +30,7 @@ from .elements import Element, Exceeded, Interner, _same_system
 from .graphs import breadth_first, surviving
 from .oracle import MAX_LEAVES, TruncatedAut, _check_depth
 from .perms import Perm, conjugators, inverse as perm_inverse, orbits
-from .system import EMPTY, FRSystem, Word, format_system, invert_word, reduce_word
+from .system import EMPTY, FRSystem, Word, format_system, invert_word, join
 
 log = logging.getLogger("arboreal.conjugacy")
 
@@ -48,7 +48,7 @@ def _orbit_sections(sys: FRSystem, wc: Word, wd: Word, pi: Perm, fills) -> list:
         lhs, rhs = sys.power_sections(wc, x), sys.power_sections(wd, pi[x])
         u = x
         for t in range(len(lhs) - 1):
-            sections[u] = reduce_word(invert_word(lhs[t]) + wit + rhs[t])
+            sections[u] = join(join(invert_word(lhs[t]), wit), rhs[t])
             u = pc[u]
     return sections
 
@@ -225,8 +225,8 @@ def _joint_orbits(perms: list[Perm], degree: int):
 def _eval_index_word(words: list[Word], iw) -> Word:
     out: Word = EMPTY
     for t, exp in iw:
-        out = out + (words[t] if exp == 1 else invert_word(words[t]))
-    return reduce_word(out)
+        out = join(out, words[t] if exp == 1 else invert_word(words[t]))
+    return out
 
 
 def _schreier_words(sys, a_words, b_words, perms_a, orbit_info):
@@ -242,7 +242,7 @@ def _schreier_words(sys, a_words, b_words, perms_a, orbit_info):
     out = []
     for y in orb:
         for t in range(len(a_words)):
-            iw = reduce_word(words[y] + ((t, 1),) + invert_word(words[perms_a[t][y]]))
+            iw = join(join(words[y], ((t, 1),)), invert_word(words[perms_a[t][y]]))
             if iw:
                 out.append((sys.section(_eval_index_word(a_words, iw), y0), _eval_index_word(b_words, iw)))
     return out
@@ -405,7 +405,7 @@ def _tuple_sections(graph: ConjGraph, node, pi: Perm, fills) -> list:
             ub = _eval_index_word(b_words, words[y])
             lhs = invert_word(sys.section(ua, y0))
             rhs = sys.section(ub, pi[y0])
-            sections[sys.root_perm(ua)[y0]] = reduce_word(lhs + wit + rhs)
+            sections[sys.root_perm(ua)[y0]] = join(join(lhs, wit), rhs)
     return sections
 
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .perms import Perm
-from .system import EMPTY, FRSystem, Word, format_word, invert_word, parse_word, reduce_word
+from .system import EMPTY, FRSystem, Word, format_word, invert_word, join, parse_word
 
 # the number of section pairs one equality walk may merge
 EQUALITY_BUDGET = 10**6
@@ -118,7 +118,7 @@ def _same_system(g: Element, h: Element) -> FRSystem:
 
 def multiply(g: Element, h: Element) -> Element:
     sys = _same_system(g, h)
-    return Element(sys, reduce_word(g.word + h.word))
+    return Element._of(sys, join(g.word, h.word))
 
 
 def inverse(g: Element) -> Element:
@@ -228,7 +228,7 @@ def _bisimulate(sys: FRSystem, u: Word, v: Word, budget: int):
     # and the union-find learns them as it would from that walk
     sys.union(u, v)
     for a, b in merged:
-        sys.union(reduce_word(a + invert_word(b)), EMPTY)
+        sys.union(join(a, invert_word(b)), EMPTY)
     return True
 
 

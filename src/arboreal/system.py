@@ -18,6 +18,7 @@ reserved for the trivial element.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .perms import Perm, check_perm, format_perm, identity, inverse as perm_inverse, is_identity
 
@@ -53,6 +54,17 @@ def reduce_word(w) -> Word:
     return tuple(out)
 
 
+def join(u: Word, v: Word) -> Word:
+    """Reduced u*v for reduced words u and v: letters cancel only where
+    the two words meet."""
+    if u and v and u[-1][0] == v[0][0] and u[-1][1] == -v[0][1]:
+        i, n = 1, min(len(u), len(v))
+        while i < n and u[-1 - i][0] == v[i][0] and u[-1 - i][1] == -v[i][1]:
+            i += 1
+        return u[: len(u) - i] + v[i:]
+    return u + v
+
+
 def invert_word(w: Word) -> Word:
     return tuple((s, -x) for s, x in reversed(w))
 
@@ -68,11 +80,17 @@ class FRSystem:
 
     Append-only: new symbols may be defined at any time but existing
     definitions never change, so cached sections, root permutations and
-    resolved equalities stay valid.  The same holds for the inverse rows:
-    the first evaluation of s^-1 stores the inverse root permutation of
-    s and the inverted sections indexed by preimage letter, and every
-    later evaluation of s^-1 reads them.  Reads are safe from multiple
-    threads under the GIL; concurrent definition is not supported.
+    resolved equalities stay valid.  The same holds for the rows, one
+    per signed factor, s and s^-1 alike, filled on the factor's first
+    evaluation (many symbols are evaluated with one sign only, or not
+    at all).  A row holds, per letter y, the factor's section at y, the
+    inverse of that section's first factor and the image of y; the row
+    of s^-1 inverts the sections of s indexed by preimage letter.  The
+    itemgetter of the factor's root permutation is kept beside the row,
+    one object per distinct permutation, so that rows hold nothing the
+    cyclic garbage collector has to keep traversing.  Reads are safe
+    from multiple threads under the GIL; concurrent definition is not
+    supported.
 
     _activity (classify.polynomial_degree) and _space, the deciders'
     bounded.ConfigSpace, are other modules' caches.  The space lives as
@@ -100,8 +118,11 @@ class FRSystem:
         self._eq: dict[tuple[Word, Word], bool] = {}
         self._activity: dict[Word, object] = {}
         self._space = None
-        # per symbol s: (perm of s^-1, section of s^-1 at each letter)
-        self._inv: dict[str, tuple[Perm, tuple[Word, ...]]] = {}
+        # per signed factor: per letter (section, inverse of its first
+        # factor or None, image), and the itemgetter of its permutation
+        self._rows: dict[tuple[str, int], tuple] = {}
+        self._takes: dict[tuple[str, int], itemgetter] = {}
+        self._getters: dict[Perm, itemgetter] = {}
 
     # -- definitions ---------------------------------------------------
 
@@ -113,6 +134,11 @@ class FRSystem:
         if name in self._defs:
             raise ValueError("symbol %r already defined" % name)
         p = check_perm(perm, self.degree)
+        sections = tuple(sections)
+        for w in sections:
+            for f in w:
+                if f[1] not in (1, -1):
+                    raise ValueError("factor %r in a section of %r: exponent must be 1 or -1" % (f, name))
         secs = tuple(reduce_word(s) for s in sections)
         if len(secs) != self.degree:
             raise ValueError("expected %d sections for %r, got %d" % (self.degree, name, len(secs)))
@@ -164,22 +190,16 @@ class FRSystem:
                 raise ValueError("bad exponent %r" % x)
         return w
 
-    def _inverse_row(self, s: str) -> tuple[Perm, tuple[Word, ...]]:
-        row = self._inv.get(s)
-        if row is None:
-            p, secs = self._defs[s]
-            ip = perm_inverse(p)
-            row = self._inv[s] = (ip, tuple(invert_word(secs[z]) for z in ip))
-        return row
-
     def root_perm(self, w: Word) -> Perm:
         cached = self._root.get(w)
         if cached is not None:
             return cached
+        takes = self._takes
         p = identity(self.degree)
-        for s, x in w:
-            sp = self._defs[s][0] if x == 1 else self._inverse_row(s)[0]
-            p = tuple(sp[y] for y in p)
+        # a factor's getter maps q to q o perm (degree >= 2, so a tuple);
+        # folding from the right gives y -> y^w
+        for f in reversed(w):
+            p = (takes.get(f) or self._fill_row(f)[0])(p)
         self._root[w] = p
         return p
 
@@ -192,15 +212,39 @@ class FRSystem:
         cached = self._sect.get(key)
         if cached is not None:
             return cached
+        rows = self._rows
         out: list[tuple[str, int]] = []
         y = letter
-        for s, x in w:
-            p, secs = self._defs[s] if x == 1 else self._inverse_row(s)
-            out.extend(secs[y])
-            y = p[y]
-        res = reduce_word(out)
+        for f in w:
+            sec, head, y = (rows.get(f) or self._fill_row(f)[1])[y]
+            if not sec:
+                continue
+            if out and out[-1] == head:
+                # out and sec are reduced: they cancel only where they meet
+                out.pop()
+                i, n = 1, len(sec)
+                while i < n and out and out[-1][0] == sec[i][0] and out[-1][1] == -sec[i][1]:
+                    out.pop()
+                    i += 1
+                out.extend(sec[i:])
+            else:
+                out.extend(sec)
+        res = tuple(out)
         self._sect[key] = res
         return res
+
+    def _fill_row(self, f: tuple[str, int]) -> tuple:
+        """(getter, row) of the signed factor f, built on its first
+        evaluation."""
+        s, x = f
+        p, secs = self._defs[s]
+        if x == -1:
+            p = perm_inverse(p)
+            secs = tuple(invert_word(secs[z]) for z in p)
+        heads = [(w[0][0], -w[0][1]) if w else None for w in secs]
+        take = self._takes[f] = self._getters.setdefault(p, itemgetter(*p))
+        row = self._rows[f] = tuple(zip(secs, heads, p))
+        return take, row
 
     def power_sections(self, w: Word, x: int) -> list[Word]:
         """[w^t|_x for t = 0..m], m the length of the orbit of x under
@@ -210,7 +254,7 @@ class FRSystem:
         out = [EMPTY]
         y = x
         while True:
-            out.append(reduce_word(out[-1] + self.section(w, y)))
+            out.append(join(out[-1], self.section(w, y)))
             y = p[y]
             if y == x:
                 return out
