@@ -51,29 +51,32 @@ class _CapExceeded(Exception):
 class Configuration(NamedTuple):
     """Main orbit-power pair plus the deduplicated dependency pairs,
     all as interner keys of one ConfigSpace.  A named tuple, so dict and
-    set probes hash it in C."""
+    set probes hash it in C; the space hands out one object per equal
+    configuration, so most probes that hit match it by identity."""
 
     main: tuple
     dp: tuple
 
 
-@dataclass(frozen=True)
-class _OrbitStep:
+class _OrbitStep(NamedTuple):
     """One orbit of a configuration under a chosen permutation: anchor
-    letter, orbit size, induced configuration, and the multiset of
-    dependency-pair moves (source pair, target pair), one per power."""
+    letter, orbit size and induced configuration.  Its dependency-pair
+    moves are not kept; ConfigSpace.moves computes them on demand."""
 
     letter: int
     size: int
     config: Configuration
-    moves: tuple
 
 
 class ConfigSpace:
     """Interner-backed store for configurations of one system.
 
     The trivial element is interned first so key 0 is always e; the
-    dependency sets sort by key, which keeps (e,e) in front.
+    dependency sets sort by key, which keeps (e,e) in front.  config
+    returns one shared object per equal configuration, and steps keeps
+    per (configuration, permutation) only the letter, size and induced
+    configuration of each orbit; the matrix procedure, the one reader of
+    the dependency-pair moves, gets them from moves on demand.
 
     ConfigSpace.of(system) is the space the deciders share; it lives as
     long as its system and grows with every query on it.  That is sound
@@ -99,6 +102,7 @@ class ConfigSpace:
         self.interner = Interner(system, budget)
         self.trivial = self.key(EMPTY)
         self._cpi: dict = {}
+        self._configs: dict = {}
         self._succ: dict = {}
         self._orbits: dict = {}
         self._powers: dict = {}
@@ -150,14 +154,16 @@ class ConfigSpace:
 
     def _move(self, entry: tuple, t: int) -> int:
         """Key of (w^t * c)|_x for an entry (k, kc, x, y) missing from
-        _moves, which steps reads inline: w = word(k), c = word(kc)."""
+        _moves, which steps and moves read inline: w = word(k),
+        c = word(kc)."""
         k, kc, x, y = entry
         moved = join(self.powers(k, x)[t], self.system.section(self.word(kc), y))
         km = self._moves[entry] = self.key(moved)
         return km
 
     def config(self, main, dp) -> Configuration:
-        return Configuration(tuple(main), tuple(sorted(set(dp))))
+        cfg = Configuration(tuple(main), tuple(sorted(set(dp))))
+        return self._configs.setdefault(cfg, cfg)
 
     def root_config(self, a: Element, b: Element) -> Configuration:
         return self.config((self.key(a.word), self.key(b.word)), [(self.trivial, self.trivial)])
@@ -167,25 +173,44 @@ class ConfigSpace:
 
     def steps(self, cfg: Configuration, pi: Perm) -> tuple:
         """Per orbit of the main pair's left root action: the induced
-        configuration one level down and the dependency-pair moves."""
+        configuration one level down, whose dependency pairs are the
+        targets of the moves."""
         if (cfg, pi) in self._succ:
             return self._succ[(cfg, pi)]
+        ka, kb = cfg.main
+        table, move, configs = self._moves, self._move, self._configs
+        out = []
+        for orb in self.orbits(ka):
+            x = orb[0]
+            px = pi[x]
+            main2 = (self.orbit_key(ka, x), self.orbit_key(kb, px))
+            targets = {
+                (table[ea] if (ea := (ka, kc, x, y)) in table else move(ea, t),
+                 table[eb] if (eb := (kb, kd, px, pi[y])) in table else move(eb, t))
+                for kc, kd in cfg.dp
+                for t, y in enumerate(orb)
+            }
+            cfg2 = Configuration(main2, tuple(sorted(targets)))
+            out.append(_OrbitStep(x, len(orb), configs.setdefault(cfg2, cfg2)))
+        out = tuple(out)
+        self._succ[(cfg, pi)] = out
+        return out
+
+    def moves(self, cfg: Configuration, pi: Perm) -> list:
+        """Per orbit step of steps(cfg, pi), in its order: the multiset of
+        dependency-pair moves (source pair, target pair), one per pair
+        and power."""
         ka, kb = cfg.main
         table, move = self._moves, self._move
         out = []
         for orb in self.orbits(ka):
-            x, m = orb[0], len(orb)
-            px = pi[x]
-            main2 = (self.orbit_key(ka, x), self.orbit_key(kb, px))
-            moves = tuple(
+            x, px = orb[0], pi[orb[0]]
+            out.append([
                 ((kc, kd), (table[ea] if (ea := (ka, kc, x, y)) in table else move(ea, t),
                             table[eb] if (eb := (kb, kd, px, pi[y])) in table else move(eb, t)))
                 for kc, kd in cfg.dp
                 for t, y in enumerate(orb)
-            )
-            out.append(_OrbitStep(x, m, self.config(main2, [tgt for _, tgt in moves]), moves))
-        out = tuple(out)
-        self._succ[(cfg, pi)] = out
+            ])
         return out
 
     def describe(self, cfg: Configuration) -> str:
@@ -767,9 +792,10 @@ class ChoiceSystem:
         n = self.dim
         rows = [[0] * n for _ in range(n)]
         for ci, cfg in enumerate(self.configs):
-            for step in self.space.steps(cfg, choice[ci]):
+            pi = choice[ci]
+            for step, moves in zip(self.space.steps(cfg, pi), self.space.moves(cfg, pi)):
                 ci2 = cfg_index[step.config]
-                for src, tgt in step.moves:
+                for src, tgt in moves:
                     rows[index[(ci2, tgt)]][index[(ci, src)]] += 1
         out = tuple(tuple(r) for r in rows)
         self._mat[choice] = out

@@ -182,13 +182,14 @@ class FRSystem:
     # -- word-level evaluation ------------------------------------------
 
     def check_word(self, w) -> Word:
-        w = reduce_word(w)
+        # the raw factors, so that bad ones which would cancel are refused
+        w = tuple(w)
         for s, x in w:
             if s not in self._defs:
                 raise ValueError("undefined symbol %r" % s)
             if x not in (1, -1):
                 raise ValueError("bad exponent %r" % x)
-        return w
+        return reduce_word(w)
 
     def root_perm(self, w: Word) -> Perm:
         cached = self._root.get(w)

@@ -353,30 +353,32 @@ def test_pol0_verdicts_sit_below_the_aut_verdicts():
 
 
 def steps_from_definition(space, cfg, pi):
-    """Orbit steps of cfg under pi straight from (a^t * c)|_x =
-    a^t|_x * c|_(x a^t) and x a^t pi = x pi b^t, looking up keys only."""
+    """Orbit steps of cfg under pi and, per step, its dependency-pair
+    moves, straight from (a^t * c)|_x = a^t|_x * c|_(x a^t) and
+    x a^t pi = x pi b^t, looking up keys only."""
     sys, key = space.system, space.interner.lookup
     wa, wb = space.word(cfg.main[0]), space.word(cfg.main[1])
-    out = []
+    steps, moves = [], []
     for orb in orbits(sys.root_perm(wa)):
         x, m = orb[0], len(orb)
         pa, pb = sys.power_sections(wa, x), sys.power_sections(wb, pi[x])
-        moves = tuple(
+        moves.append([
             ((kc, kd), (key(reduce_word(pa[t] + sys.section(space.word(kc), y))),
                         key(reduce_word(pb[t] + sys.section(space.word(kd), pi[y])))))
             for kc, kd in cfg.dp
             for t, y in enumerate(orb)
-        )
+        ])
         main = (key(pa[m]), key(pb[m]))
-        out.append(_OrbitStep(x, m, Configuration(main, tuple(sorted({tgt for _, tgt in moves}))), moves))
-    return tuple(out)
+        steps.append(_OrbitStep(x, m, Configuration(main, tuple(sorted({tgt for _, tgt in moves[-1]})))))
+    return tuple(steps), moves
 
 
 def test_orbit_steps_match_their_definition():
     # the space computes each move once and serves it to every root
     # conjugator, to both sides of the pair and to every decider on the
-    # system; every step it holds must still be the one the definition
-    # gives, also after a walk that stopped at its cap part way
+    # system; every step it holds, and the moves it gives for the step,
+    # must still be the ones the definition gives, also after a walk
+    # that stopped at its cap part way
     several_pi = stopped = 0
     for degree, budget_a, budget_h, seeds in ((2, 4, 3, range(20)), (3, 6, 4, range(10))):
         for seed in seeds:
@@ -394,13 +396,37 @@ def test_orbit_steps_match_their_definition():
             conjugate_in_pol_minus1(a, b)
             closure = configurations(a, b)
             assert closure.complete
-            assert closure.space is ConfigSpace.of(a.system)
+            space = closure.space
+            assert space is ConfigSpace.of(a.system)
             for cfg, branches in closure.universe.items():
                 several_pi += degree == 3 and len(branches) > 1
-            for (cfg, pi), steps in closure.space._succ.items():
-                assert steps == steps_from_definition(closure.space, cfg, pi)
+            for (cfg, pi), steps in space._succ.items():
+                want_steps, want_moves = steps_from_definition(space, cfg, pi)
+                assert steps == want_steps
+                assert space.moves(cfg, pi) == want_moves
     assert several_pi >= 1
     assert stopped == 12
+
+
+def test_one_space_shares_each_configuration():
+    # Pol(-1) and then Pol(0) on one system walk one space, Pol(0) also
+    # from configurations Pol(-1) did not reach; every configuration the
+    # space holds or hands out again is the one object kept for its value
+    a, b = planted_pair(0, 3, 6, 4)
+    assert conjugate_in_pol_minus1(a, b).tag == "not_conjugate"
+    space = ConfigSpace.of(a.system)
+    walked = len(space._succ)
+    assert conjugate_in_pol0_cyclic(a, b).conjugate
+    assert len(space._succ) > walked
+    shared: dict = {}
+    for (cfg, _), steps in space._succ.items():
+        for c in [cfg] + [s.config for s in steps]:
+            assert shared.setdefault(c, c) is c
+            assert space.config(c.main, reversed(c.dp)) is c
+    assert len(shared) > 50
+    root = space.root_config(a, b)
+    assert root is shared[root] is space.pair_config(*root.main)
+    assert space.config(list(root.main), list(root.dp) * 2) is root
 
 
 def full_closure(space, roots):
@@ -486,7 +512,7 @@ class GraphSpace:
         return tuple(range(len(self.graph[ka])))
 
     def steps(self, cfg, pi):
-        return tuple(_OrbitStep(x, 1, self.node[n], ()) for x, n in enumerate(self.graph[cfg.main[0]][pi]))
+        return tuple(_OrbitStep(x, 1, self.node[n]) for x, n in enumerate(self.graph[cfg.main[0]][pi]))
 
 
 def test_finitary_walks_match_a_full_sweep_on_random_graphs():

@@ -152,3 +152,16 @@ def test_validate_still_reports_undefined_symbols():
     sys.define("b", (0, 1, 2), ((("z", 1),), (), ()))
     with pytest.raises(ValueError, match="undefined symbol 'z'"):
         sys.validate()
+
+
+@pytest.mark.parametrize("word,message", [
+    ((("a", 2), ("a", -2)), "bad exponent 2"),
+    ((("a", 1), ("a", 5), ("a", -5)), "bad exponent 5"),
+    ((("z", 1), ("z", -1)), "undefined symbol 'z'"),
+])
+def test_elements_refuse_bad_factors_that_would_cancel(word, message):
+    # the factors are checked before the word is reduced, as define does
+    sys = _adding_machine()
+    with pytest.raises(ValueError, match=message):
+        Element(sys, word)
+    assert Element(sys, (("a", 1), ("a", -1), ("a", 1))).word == (("a", 1),)
