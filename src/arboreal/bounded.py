@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .classify import polynomial_degree
-from .conjugacy import _orbit_sections, conjugate_in_aut
+from .conjugacy import _orbit_sections, _pair_sections, conjugate_in_aut
 from .elements import EQUALITY_BUDGET, Element, Exceeded, Interner, _equal_words, _same_system
 from .graphs import breadth_first, surviving
 from .perms import Perm, compose, conjugators, is_identity, inverse as perm_inverse, orbits
@@ -97,9 +97,9 @@ class ConfigSpace:
     serves every root conjugator, every configuration and both sides.
     """
 
-    def __init__(self, system: FRSystem, budget: int = EQUALITY_BUDGET):
+    def __init__(self, system: FRSystem):
         self.system = system
-        self.interner = Interner(system, budget)
+        self.interner = Interner(system)
         self.trivial = self.key(EMPTY)
         self._cpi: dict = {}
         self._configs: dict = {}
@@ -286,9 +286,9 @@ def _closure(space: ConfigSpace, root: Configuration, universe: dict) -> ConfigC
     return ConfigClosure(space, root, configs, universe, viable, "complete")
 
 
-def _conjugates(sys: FRSystem, h: Word, a: Word, b: Word, budget: int):
+def _conjugates(sys: FRSystem, h: Word, a: Word, b: Word):
     """Check h^-1 * a * h == b: True / False / Exceeded."""
-    return _equal_words(sys, join(join(invert_word(h), a), h), b, budget)
+    return _equal_words(sys, join(join(invert_word(h), a), h), b, EQUALITY_BUDGET)
 
 
 # -- finitary conjugators --------------------------------------------------------
@@ -399,26 +399,37 @@ class FinSat:
 
     def witness_word(self, cfg: Configuration) -> Word:
         """Word of a finitary automorphism satisfying cfg; requires
-        satisfiable(cfg) is not None."""
-        if cfg in self._witness:
-            return self._witness[cfg]
-        d = self.satisfiable(cfg)
-        if d is None:
+        satisfiable(cfg) is not None.
+
+        Symbols are defined in post-order, the induced configurations of
+        a configuration's steps in step order before it.  The walk keeps
+        an explicit stack: a witness can be deeper than the recursion
+        limit."""
+        memo, depth = self._witness, self.depth
+        if cfg not in memo and self.satisfiable(cfg) is None:
             raise ValueError("configuration is not finitary-satisfiable")
-        if d == 0:
-            self._witness[cfg] = EMPTY
-            return EMPTY
-        sys = self.space.system
-        pi = self._pi[cfg]
-        wa = self.space.word(cfg.main[0])
-        wb = self.space.word(cfg.main[1])
-        fills = [(step.letter, self.witness_word(step.config)) for step in self.univ[cfg][pi]]
-        sections = _orbit_sections(sys, wa, wb, pi, fills)
-        [name] = sys.fresh_names(["f"])
-        sys.define(name, pi, sections)
-        w: Word = ((name, 1),)
-        self._witness[cfg] = w
-        return w
+        # a configuration with a permutation in _pi has its steps' depths
+        stack = [cfg]
+        while stack:
+            c = stack[-1]
+            if c in memo:
+                stack.pop()
+                continue
+            if depth[c] == 0:
+                memo[c] = EMPTY
+                continue
+            pi = self._pi[c]
+            steps = self.univ[c][pi]
+            todo = [s.config for s in reversed(steps) if s.config not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            sys, word = self.space.system, self.space.word
+            fills = [(s.letter, memo[s.config]) for s in steps]
+            [name] = sys.fresh_names(["f"])
+            sys.define(name, pi, _orbit_sections(sys, word(c.main[0]), word(c.main[1]), pi, fills))
+            memo[c] = ((name, 1),)
+        return memo[cfg]
 
 
 @dataclass(eq=False)
@@ -466,8 +477,7 @@ class RestrictedDecision:
         return "Unknown(%s)" % (self.certificate,)
 
 
-def conjugate_in_pol_minus1(a: Element, b: Element, cap: int = 512,
-                            budget: int = EQUALITY_BUDGET) -> RestrictedDecision:
+def conjugate_in_pol_minus1(a: Element, b: Element, cap: int = 512) -> RestrictedDecision:
     """Conjugacy by a finitary automorphism: FinSat.satisfiable of the
     root configuration, with a cap of at least one.  An unsatisfiable
     root's closed walk is the closure its certificate counts."""
@@ -490,7 +500,7 @@ def conjugate_in_pol_minus1(a: Element, b: Element, cap: int = 512,
         )
     h = Element(space.system, fin.witness_word(root))
     space.system.validate()
-    if _conjugates(h.system, h.word, a.word, b.word, budget) is not True:
+    if _conjugates(h.system, h.word, a.word, b.word) is not True:
         log.error("finitary witness failed verification for (%s, %s)", a, b)
         return RestrictedDecision("unknown", certificate="witness verification failed")
     return RestrictedDecision(
@@ -508,8 +518,7 @@ def _require_bounded(*gs: Element):
             raise NotBounded("input %s classifies as %s, not bounded" % (g, cls))
 
 
-def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
-                             budget: int = EQUALITY_BUDGET) -> RestrictedDecision:
+def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> RestrictedDecision:
     """Conjugacy of bounded automorphisms by a bounded automorphism.
 
     A bounded conjugator is a conjugator in Aut(T), so the decision runs
@@ -586,7 +595,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
                             continue
                         g_word = fin.witness_word(cfg_v)
                         h_word = join(join(pc[pos][t], g_word), invert_word(pd[pos][t]))
-                        if _conjugates(sys, h_word, wc, wd, budget) is True:
+                        if _conjugates(sys, h_word, wc, wd) is True:
                             dist[(i, j)] = ("moving", h_word)
                             return
 
@@ -684,13 +693,6 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
     # synthesis of the witness, one rule at a time
     synth_memo: dict = {}
 
-    def sections(i, j, pi, wit):
-        """Sections of a conjugator for pair (i, j) with root pi, taking
-        wit(step, successor vertices) at the anchor letter of each orbit
-        step."""
-        fills = [(s.letter, wit(s, succs)) for s, succs in steps(i, j, pi)]
-        return _orbit_sections(sys, os_a.elements[i].word, os_b.elements[j].word, pi, fills)
-
     def synth(pair) -> Word:
         if pair in synth_memo:
             return synth_memo[pair]
@@ -706,12 +708,14 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
                 synth_memo[(vi, vj)] = ((names[t], 1),)
             for t, (vi, vj, vpi) in enumerate(cycle):
                 nxt = ((names[(t + 1) % len(cycle)], 1),)
-                sys.define(names[t], vpi, sections(vi, vj, vpi, lambda s, succs: (
-                    nxt if s.letter == letters[t] else fin.witness_word(s.config))))
+                fills = [(s.letter, nxt if s.letter == letters[t] else fin.witness_word(s.config))
+                         for s, _ in steps(vi, vj, vpi)]
+                sys.define(names[t], vpi, _pair_sections(graph, (vi, vj), vpi, fills))
             w = synth_memo[pair]
         else:  # reduction
             pi = rule[1]
-            secs = sections(*pair, pi, lambda s, succs: synth(succs[0][:2]))
+            fills = [(s.letter, synth(succs[0][:2])) for s, succs in steps(*pair, pi)]
+            secs = _pair_sections(graph, pair, pi, fills)
             # named only now: the recursive calls above define names too
             [name] = sys.fresh_names(["h"])
             sys.define(name, pi, secs)
@@ -721,7 +725,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
 
     h = Element(sys, synth((0, 0)))
     sys.validate()
-    check = _conjugates(sys, h.word, a.word, b.word, budget)
+    check = _conjugates(sys, h.word, a.word, b.word)
     if check is not True:
         log.error("bounded witness failed verification for (%s, %s): %r", a, b, check)
         return RestrictedDecision("unknown", certificate="witness verification failed")
@@ -734,13 +738,12 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512,
     return RestrictedDecision("conjugate", h, cls, certificate=note)
 
 
-def conjugate_in_pol_inf(a: Element, b: Element, cap: int = 512,
-                         budget: int = EQUALITY_BUDGET) -> RestrictedDecision:
+def conjugate_in_pol_inf(a: Element, b: Element, cap: int = 512) -> RestrictedDecision:
     """Conjugacy by a polynomial-activity automorphism, decided for
     bounded inputs only: for those it coincides with conjugacy by a
     bounded one, so this is conjugate_in_pol0_cyclic.  Any other input,
     a polynomial one included, raises NotBounded."""
-    return conjugate_in_pol0_cyclic(a, b, cap, budget)
+    return conjugate_in_pol0_cyclic(a, b, cap)
 
 
 # -- the active-state matrix system ----------------------------------------------

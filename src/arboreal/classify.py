@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elements import Element, Exceeded, Interner, _same_system, minimize
+from .elements import Element, Exceeded, Interner, _same_system, _section_graph, minimize
 from .graphs import strongly_connected_components
 from .perms import orbits
 from .system import EMPTY, invert_word, join
@@ -30,6 +30,7 @@ class _Sentinel:
 
 NOT_FINITARY = _Sentinel("NotFinitary")
 NOT_CIRCUIT = _Sentinel("NotCircuit")
+_NUCLEUS_DEPTH = 12  # nucleus: products must fall into the candidate set by this depth
 
 
 @dataclass(frozen=True)
@@ -84,31 +85,14 @@ def _nontrivial_successors(mach):
     return succ
 
 
-def _finitary_depth_of(mach):
-    comps = strongly_connected_components(mach.n_states, _nontrivial_successors(mach))
-    depth = [0] * mach.n_states
-    for comp in comps:
-        if len(comp) > 1:
-            return NOT_FINITARY
-        i = comp[0]
-        if i == mach.trivial:
-            continue
-        best = 0
-        for t in mach.transitions[i]:
-            if t == i:
-                return NOT_FINITARY
-            best = max(best, depth[t])
-        depth[i] = 1 + best
-    return depth[0]
-
-
 def finitary_depth(g: Element):
     """Least level below which every section is trivial; NOT_FINITARY when
     the machine has a cycle through a nontrivial state."""
     mach = minimize(g)
     if isinstance(mach, Exceeded):
         return mach
-    return _finitary_depth_of(mach)
+    cls = _activity_class(mach)
+    return cls.value if cls.kind == "finitary" else NOT_FINITARY
 
 
 def polynomial_degree(g: Element) -> ActivityClass:
@@ -121,16 +105,14 @@ def polynomial_degree(g: Element) -> ActivityClass:
     memo = g.system._activity
     cls = memo.get(g.word)
     if cls is None:
-        cls = _activity_class(g)
-        if cls.kind != "unknown":
-            memo[g.word] = cls
+        mach = minimize(g)
+        if isinstance(mach, Exceeded):
+            return ActivityClass("unknown", witness="minimize exceeded %d %s" % (mach.budget, mach.kind))
+        cls = memo[g.word] = _activity_class(mach)
     return cls
 
 
-def _activity_class(g: Element) -> ActivityClass:
-    mach = minimize(g)
-    if isinstance(mach, Exceeded):
-        return ActivityClass("unknown", witness="minimize exceeded %d %s" % (mach.budget, mach.kind))
+def _activity_class(mach) -> ActivityClass:
     succ = _nontrivial_successors(mach)
     comps = strongly_connected_components(mach.n_states, succ)
     comp_of = [0] * mach.n_states
@@ -148,20 +130,25 @@ def _activity_class(g: Element) -> ActivityClass:
             return ActivityClass("exponential", witness="state %d branches inside its component" % state)
         is_cycle[ci] = all(c == 1 for c in counts)
     # components come out successors-first, so one pass computes the
-    # longest cycle chain ending at each component
+    # longest cycle chain ending at each component, and its height: the
+    # longest path of nontrivial states from it, which is the finitary
+    # depth of a state when no chain has a cycle
     chain = [0] * len(comps)
+    height = [0] * len(comps)
     for ci, comp in enumerate(comps):
-        best = 0
+        best = tall = 0
         for i in comp:
             if i == mach.trivial:
                 continue
             for t in mach.transitions[i]:
                 if comp_of[t] != ci:
                     best = max(best, chain[comp_of[t]])
+                    tall = max(tall, height[comp_of[t]])
         chain[ci] = best + (1 if is_cycle[ci] else 0)
+        height[ci] = 0 if mach.trivial in comp else tall + 1
     top = max(chain)
     if top == 0:
-        return ActivityClass("finitary", _finitary_depth_of(mach))
+        return ActivityClass("finitary", height[comp_of[0]])
     return ActivityClass("polynomial", top - 1)
 
 
@@ -234,13 +221,6 @@ class OrbitSignalizer:
     @property
     def complete(self) -> bool:
         return self.status == "complete"
-
-    def index_of(self, h: Element):
-        """Index of an element semantically present in the closure, else None."""
-        k = self.interner.lookup(h.word)
-        if isinstance(k, int) and k < len(self.elements):
-            return k
-        return None
 
 
 def orbit_signalizer(g: Element, cap: int = 512, letters: str = "least") -> OrbitSignalizer:
@@ -321,33 +301,14 @@ def _explore_product(intern, nset, u, v, node_cap):
 
     Returns ("ok", depth), ("recurrent", keys) for keys on cycles, or
     ("unknown", reason)."""
-    sys = intern.system
-    k = intern.key(join(intern.words[u], intern.words[v]))
-    if isinstance(k, Exceeded):
+    walk = _section_graph(intern, join(intern.words[u], intern.words[v]), node_cap, nset)
+    if isinstance(walk, Exceeded):
+        if walk.kind == "states":
+            return ("unknown", "product exploration exceeded %d states" % node_cap)
         return ("unknown", "equality budget exceeded")
-    if k in nset:
+    nodes, succs = walk
+    if not nodes:  # the product is in nset
         return ("ok", 0)
-    nodes = [k]
-    index = {k: 0}
-    succs: list[list[int]] = []
-    pos = 0
-    while pos < len(nodes):
-        cur = intern.words[nodes[pos]]
-        row = []
-        for x in range(sys.degree):
-            kk = intern.key(sys.section(cur, x))
-            if isinstance(kk, Exceeded):
-                return ("unknown", "equality budget exceeded")
-            if kk in nset:
-                continue
-            if kk not in index:
-                if len(nodes) >= node_cap:
-                    return ("unknown", "product exploration exceeded %d states" % node_cap)
-                index[kk] = len(nodes)
-                nodes.append(kk)
-            row.append(index[kk])
-        succs.append(row)
-        pos += 1
     comps = strongly_connected_components(len(nodes), lambda i: succs[i])
     recurrent = []
     for comp in comps:
@@ -362,7 +323,7 @@ def _explore_product(intern, nset, u, v, node_cap):
     return ("ok", depth[0])
 
 
-def nucleus(g, size_cap: int = 512, depth_cap: int = 12) -> NucleusReport:
+def nucleus(g, size_cap: int = 512) -> NucleusReport:
     """Semi-decision for contraction of the group generated by the states
     of g (or of each element of a generator list).
 
@@ -370,7 +331,7 @@ def nucleus(g, size_cap: int = 512, depth_cap: int = 12) -> NucleusReport:
     inverses, then, for every pairwise product, whatever states recur
     without falling into the set (with their closures and inverses).
     Contracting is reported only when the set stabilizes and every
-    product's section graph dies into the set within depth_cap.  Never
+    product's section graph dies into the set within _NUCLEUS_DEPTH.  Never
     claims non-contraction.
     """
     gens = [g] if isinstance(g, Element) else list(g)
@@ -405,9 +366,9 @@ def nucleus(g, size_cap: int = 512, depth_cap: int = 12) -> NucleusReport:
                     ):
                         return NucleusReport("unknown", reason="size cap %d exceeded" % size_cap)
                 break
-            if res[1] > depth_cap:
+            if res[1] > _NUCLEUS_DEPTH:
                 return NucleusReport(
-                    "unknown", reason="products not absorbed within depth %d" % depth_cap
+                    "unknown", reason="products not absorbed within depth %d" % _NUCLEUS_DEPTH
                 )
             done.add((u, v))
         else:

@@ -256,7 +256,7 @@ def _cmd_conjugate(args):
                 return 2, "unknown", {"reason": reason}, caps, []
         if group == "aut":
             dec = conjugate_in_aut(a, b, args.cap)
-            reason, cls, synthesize = dec.reason or "no surviving root", None, basic_conjugator
+            reason, cls, synthesize = dec.reason, None, basic_conjugator
         else:
             decide = {"pol-1": conjugate_in_pol_minus1, "pol0": conjugate_in_pol0_cyclic,
                       "polinf": conjugate_in_pol_inf}[group]

@@ -26,9 +26,9 @@ import logging
 from dataclasses import dataclass, field
 
 from .classify import OrbitSignalizer, orbit_signalizer
-from .elements import Element, Exceeded, Interner, _same_system
+from .elements import Element, Exceeded, Interner, _same_system, minimize
 from .graphs import breadth_first, surviving
-from .oracle import MAX_LEAVES, TruncatedAut, _check_depth
+from .oracle import TruncatedAut, _check_depth
 from .perms import Perm, conjugators, inverse as perm_inverse, orbits
 from .system import EMPTY, FRSystem, Word, format_system, invert_word, join
 
@@ -171,7 +171,6 @@ def conj_graph(a: Element, b: Element, cap: int = 512) -> ConjGraph:
 class ConjDecision:
     tag: str  # "conjugate" | "not_conjugate" | "unknown"
     graph: object = None
-    roots: list = None
     reason: str | None = None
 
     @property
@@ -183,8 +182,8 @@ def _decide(graph: ConjGraph, unknown: str, negative: str) -> ConjDecision:
     if not graph.complete:
         return ConjDecision("unknown", graph, reason=unknown)
     if graph.roots:
-        return ConjDecision("conjugate", graph, roots=graph.roots)
-    return ConjDecision("not_conjugate", graph, roots=[], reason=negative)
+        return ConjDecision("conjugate", graph)
+    return ConjDecision("not_conjugate", graph, reason=negative)
 
 
 def conjugate_in_aut(a: Element, b: Element, cap: int = 512) -> ConjDecision:
@@ -483,19 +482,16 @@ def all_basic_conjugators(graph: ConjGraph, limit: int = 64) -> list:
     return out
 
 
-def expand_to_finite_state(h, budget: int = 10**5):
+def expand_to_finite_state(h):
     """Minimal machine of a synthesized conjugator, when it is finite
-    state within the budget."""
-    from .elements import minimize
-
-    elem = getattr(h, "element", h)
-    return minimize(elem, budget)
+    state within MINIMIZE_BUDGET states."""
+    return minimize(getattr(h, "element", h))
 
 
 # -- canonical truncated representatives ---------------------------------------
 
 
-def canonical_representative(a: Element, depth: int, max_leaves: int = MAX_LEAVES) -> TruncatedAut:
+def canonical_representative(a: Element, depth: int) -> TruncatedAut:
     """Truncated action of the canonical conjugacy representative.
 
     Per orbit of the root action the recursion keeps only the orbit
@@ -506,7 +502,7 @@ def canonical_representative(a: Element, depth: int, max_leaves: int = MAX_LEAVE
     """
     sys = a.system
     d = sys.degree
-    _check_depth(d, depth, max_leaves)
+    _check_depth(d, depth)
 
     def rec(w: Word, n: int):
         if n == 0:

@@ -100,12 +100,6 @@ class Element:
     def section(self, letter: int) -> "Element":
         return Element(self.system, self.system.section(self.word, letter))
 
-    def section_at(self, vertex) -> "Element":
-        w = self.word
-        for x in vertex:
-            w = self.system.section(w, x)
-        return Element(self.system, w)
-
 
 def _same_system(g: Element, h: Element) -> FRSystem:
     if g.system is not h.system:
@@ -144,7 +138,10 @@ def act(g: Element, vertex) -> tuple[int, ...]:
 
 
 def section(g: Element, vertex) -> Element:
-    return g.section_at(vertex)
+    w = g.word
+    for x in vertex:
+        w = g.system.section(w, x)
+    return Element(g.system, w)
 
 
 # -- orbits -----------------------------------------------------------------
@@ -276,9 +273,8 @@ class Interner:
     only runs bisimulations against candidates sharing the class.
     """
 
-    def __init__(self, system: FRSystem, budget: int = EQUALITY_BUDGET):
+    def __init__(self, system: FRSystem):
         self.system = system
-        self.budget = budget
         self.words: list[Word] = []
         self._by_root: dict[Word, int] = {}
         self._buckets: dict[int, list[int]] = {}
@@ -296,7 +292,7 @@ class Interner:
             return Exceeded("word length", MAX_WORD_LENGTH), None
         sig = sys.signature(root)
         for k in self._buckets.get(sig, ()):
-            res = _equal_words(sys, self.words[k], root, self.budget)
+            res = _equal_words(sys, self.words[k], root, EQUALITY_BUDGET)
             if res is True:
                 self._by_root[sys.find(root)] = k
                 return k, sig
@@ -330,6 +326,44 @@ class Interner:
 # -- finite-state machines ----------------------------------------------------
 
 
+def _section_graph(interner: Interner, start: Word, cap: int, skip=()):
+    """Breadth-first walk over the keys of the sections of the word
+    start, itself included, letters ascending, never entering a key of
+    skip (so none at all when start's key is in skip).
+
+    Returns (keys, rows) in discovery order, rows[i] holding the indices
+    into keys of the sections of keys[i] that are not skipped; or
+    Exceeded: the interner's, or ("states", cap) as soon as more than cap
+    keys would be held.
+    """
+    sys = interner.system
+    k = interner.key(start)
+    if isinstance(k, Exceeded):
+        return k
+    if k in skip:
+        return [], []
+    keys = [k]
+    index = {k: 0}
+    rows: list[list[int]] = []
+    for k in keys:
+        cur = interner.words[k]
+        row = []
+        for x in range(sys.degree):
+            kk = interner.key(sys.section(cur, x))
+            if isinstance(kk, Exceeded):
+                return kk
+            if kk in skip:
+                continue
+            if kk not in index:
+                if len(keys) >= cap:
+                    return Exceeded("states", cap)
+                index[kk] = len(keys)
+                keys.append(kk)
+            row.append(index[kk])
+        rows.append(row)
+    return keys, rows
+
+
 @dataclass(frozen=True)
 class Machine:
     """Minimal complete automaton of a finite-state automorphism.
@@ -348,21 +382,14 @@ class Machine:
     def n_states(self) -> int:
         return len(self.transitions)
 
-    def isomorphic(self, other: "Machine") -> bool:
-        return (
-            self.degree == other.degree
-            and self.transitions == other.transitions
-            and self.outputs == other.outputs
-        )
-
-    def to_system(self, prefix: str = "s") -> tuple[FRSystem, Element]:
+    def to_system(self) -> tuple[FRSystem, Element]:
         """Rebuild a system with one symbol per nontrivial state; returns
         the system and the element of the initial state."""
         sys = FRSystem(self.degree)
         names = {}
         for i in range(self.n_states):
             if i != self.trivial:
-                names[i] = "%s%d" % (prefix, i)
+                names[i] = "s%d" % i
         for i, name in names.items():
             secs = []
             for x in range(self.degree):
@@ -383,28 +410,10 @@ def minimize(g: Element, budget: int = MINIMIZE_BUDGET):
     """
     sys = g.system
     interner = Interner(sys)
-    start = interner.key(g.word)
-    if isinstance(start, Exceeded):
-        return start
-    order = [start]
-    index = {start: 0}
-    transitions: list[list[int]] = []
-    pos = 0
-    while pos < len(order):
-        cur = interner.words[order[pos]]
-        row = []
-        for x in range(sys.degree):
-            k = interner.key(sys.section(cur, x))
-            if isinstance(k, Exceeded):
-                return k
-            if k not in index:
-                if len(order) >= budget:
-                    return Exceeded("states", budget)
-                index[k] = len(order)
-                order.append(k)
-            row.append(index[k])
-        transitions.append(row)
-        pos += 1
+    walk = _section_graph(interner, g.word, budget)
+    if isinstance(walk, Exceeded):
+        return walk
+    order, transitions = walk
     words = [interner.words[k] for k in order]
     outputs = tuple(sys.root_perm(w) for w in words)
     trivial = next((i for i, w in enumerate(words) if _trivial_word(sys, w, EQUALITY_BUDGET) is True), None)

@@ -36,13 +36,10 @@ def surviving(groups) -> set:
     return alive
 
 
-def breadth_first(root, successors, limit=None) -> list | None:
+def breadth_first(root, successors) -> list:
     """Nodes reachable from root, in breadth-first discovery order.
 
-    successors(v) is called once per node, in that order, and consumed
-    lazily: with a limit, the walk returns None as soon as it would hold
-    more than limit nodes (root included), and a generator passed as
-    successors runs no further than the node that passes the limit.
+    successors(v) is called once per node, in that order.
     """
     order = [root]
     seen = {root}
@@ -50,8 +47,6 @@ def breadth_first(root, successors, limit=None) -> list | None:
     while pos < len(order):
         for s in successors(order[pos]):
             if s not in seen:
-                if limit is not None and len(order) >= limit:
-                    return None
                 seen.add(s)
                 order.append(s)
         pos += 1

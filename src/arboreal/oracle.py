@@ -42,9 +42,9 @@ class TruncatedAut:
     level_maps: tuple
 
 
-def _check_depth(degree: int, n: int, max_leaves: int):
-    if degree**n > max_leaves:
-        raise DepthTooLarge("degree %d at depth %d exceeds %d leaves" % (degree, n, max_leaves))
+def _check_depth(degree: int, n: int):
+    if degree**n > MAX_LEAVES:
+        raise DepthTooLarge("degree %d at depth %d exceeds %d leaves" % (degree, n, MAX_LEAVES))
 
 
 def _level_maps(g: Element, n: int):
@@ -82,8 +82,8 @@ def _level_maps(g: Element, n: int):
         words, state, img = list(index), nstate, nimg
 
 
-def truncate(g: Element, n: int, max_leaves: int = MAX_LEAVES) -> TruncatedAut:
-    _check_depth(g.system.degree, n, max_leaves)
+def truncate(g: Element, n: int) -> TruncatedAut:
+    _check_depth(g.system.degree, n)
     maps = tuple(tuple(m) for m in _level_maps(g, n))
     return TruncatedAut(g.system.degree, n, maps)
 

@@ -5,6 +5,9 @@ element.  Tests parse fresh copies so synthesized conjugators never
 leak between cases.
 """
 
+import itertools
+import random
+
 import pytest
 
 from arboreal import Element
@@ -47,6 +50,23 @@ a = (e, a) [1 0]
 b = (a, c) [1 0]
 c = (a, b)
 """
+
+
+def deep_chains(levels: int) -> str:
+    """Degree-3 DSL text of two finitary chains of the given depth,
+    fi = (f(i+1), e, e) [p_i] and ki = (k(i+1), e, e) [q_i], the last
+    level's section e, each root permutation a non-identity one drawn
+    per level from random.Random(1).  k1^-1*f1*k1 and f1 are conjugate
+    by a finitary automorphism whose witness is as deep as the chains."""
+    rng = random.Random(1)
+    moving = [p for p in itertools.permutations(range(3)) if p != (0, 1, 2)]
+    lines = ["alphabet 3"]
+    for name in ("f", "k"):
+        for i in range(1, levels + 1):
+            below = "%s%d" % (name, i + 1) if i < levels else "e"
+            perm = " ".join(map(str, rng.choice(moving)))
+            lines.append("%s%d = (%s, e, e) [%s]" % (name, i, below, perm))
+    return "\n".join(lines) + "\n"
 
 
 def one(sys, name: str) -> Element:

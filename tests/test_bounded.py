@@ -31,7 +31,7 @@ from arboreal.elements import Exceeded
 from arboreal.perms import orbits
 from arboreal.system import merge_into, parse_system, reduce_word
 
-from conftest import CARRY, ODOMETER, ZOO, one
+from conftest import CARRY, ODOMETER, ZOO, deep_chains, one
 from test_identity_corpus import load as load_corpus
 
 SWAP = (1, 0)
@@ -598,3 +598,15 @@ def test_pol_minus1_answers_as_the_full_sweep():
                 % (len(rep.sat), len(rep.closure.configs)))
         else:
             assert dec.certificate == "finitary conjugator of depth %d" % rep.root_depth
+
+
+def test_finitary_witness_deeper_than_the_recursion_limit():
+    # the witness of this pair is a chain of 500 fresh symbols, which
+    # FinSat.witness_word defines from an explicit stack
+    sys = parse_system(deep_chains(500))
+    f, k = one(sys, "f1"), one(sys, "k1")
+    b = multiply(multiply(inverse(k), f), k)
+    dec = conjugate_in_pol_minus1(f, b, cap=4096)
+    assert dec.tag == "conjugate" and dec.cls == "finitary"
+    assert dec.certificate == "finitary conjugator of depth 499"
+    assert verify_conjugator(dec.conjugator, f, b, 6)

@@ -16,9 +16,10 @@ from arboreal import (
     orbit_signalizer,
     polynomial_degree,
     power,
+    random_bounded,
 )
 from arboreal import classify
-from arboreal.elements import Exceeded, minimize
+from arboreal.elements import Exceeded, Interner, minimize
 from arboreal.system import parse_system
 
 from conftest import BRANCH, ODOMETER, TWISTED, ZOO, one
@@ -81,6 +82,26 @@ def test_finitary_depth(zoo):
     assert finitary_depth(one(zoo, "s")) == 1
     assert finitary_depth(one(zoo, "a")) == NOT_FINITARY
     assert finitary_depth(multiply(one(zoo, "a"), inverse(one(zoo, "a")))) == 0
+
+
+def test_finitary_depth_is_the_first_level_without_activity():
+    # finitary_depth reads the height pass of the activity class; the
+    # multiplicity recurrence of activity counts the nontrivial sections
+    seen = deep = 0
+    for d in (2, 3, 4):
+        for s in range(60):
+            sys = random_bounded(s, 6, d)
+            for name in list(sys.symbols):
+                g = one(sys, name)
+                depth, counts = finitary_depth(g), activity(g, 8)
+                if depth is NOT_FINITARY:
+                    assert 0 not in counts and polynomial_degree(g).kind == "polynomial"
+                else:
+                    assert counts.index(0) == depth
+                    assert str(polynomial_degree(g)) == "Finitary(%d)" % depth
+                    deep += depth >= 2
+                seen += 1
+    assert (seen, deep) == (621, 216)
 
 
 def test_circuit_addresses(zoo):
@@ -147,6 +168,15 @@ def test_nucleus_of_the_odometer(zoo):
     report = nucleus(one(zoo, "a"))
     assert report.contracting
     assert len(report.elements) == 3  # e, a, a^-1
+
+
+def test_product_exploration_stops_at_its_state_cap(odometer):
+    # a*a has the section a at both letters: two states, past a cap of 1
+    sys, a = odometer
+    intern = Interner(sys)
+    k = intern.key(a.word)
+    assert classify._explore_product(intern, set(), k, k, 1) == (
+        "unknown", "product exploration exceeded 1 states")
 
 
 def test_nucleus_refuses_generators_from_two_systems():

@@ -8,7 +8,7 @@ from arboreal import Element, cli, emit_dot, inverse, multiply, sim_conj_graph
 from arboreal.oracle import MAX_DEPTH
 from arboreal.system import parse_system
 
-from conftest import BRANCH, CARRY, ODOMETER, TWISTED, ZOO
+from conftest import BRANCH, CARRY, ODOMETER, TWISTED, ZOO, deep_chains
 
 
 @pytest.fixture
@@ -489,3 +489,10 @@ def test_internal_errors_exit_four(fr, capsys, monkeypatch):
     monkeypatch.setattr(cli, "conjugate_in_aut", broken)
     assert cli.main(["conjugate", path, "a", "a^-1"]) == 4
     assert capsys.readouterr().err == "internal error: decider bug\n"
+
+
+def test_deep_finitary_witness_is_answered(fr, capsys):
+    # a Pol(-1) witness 500 symbols deep, past the recursion limit, answers
+    path = fr(deep_chains(500))
+    code, out = run(capsys, "conjugate", path, "f1", "k1^-1*f1*k1", "--group", "pol-1", "--cap", "4096")
+    assert code == 0 and out.startswith("conjugate")

@@ -107,6 +107,11 @@ def test_minimize_collapses_to_two_states(odometer):
     assert m.trivial == 1  # the non-initial state is the identity
 
 
+def test_minimize_stops_at_its_state_budget(odometer):
+    _, a = odometer
+    assert minimize(a, 1) == Exceeded("states", 1)
+
+
 def test_minimize_identifies_isomorphic_machines():
     sys = parse_system("alphabet 2\na = (e, a) [1 0]\nz = (e, z) [1 0]\n")
     assert minimize(one(sys, "a")) == minimize(one(sys, "z"))
