@@ -543,6 +543,8 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
     The rule set follows the structure theory of bounded automata; its
     completeness is not proved here, so every positive answer carries an
     exactly verified conjugator, and negatives report the stable set.
+    The cycle search and the witness synthesis walk explicit stacks,
+    depth-first in orbit order, so no graph is too deep for them.
     """
     _require_bounded(a, b)
     sys = _same_system(a, b)
@@ -604,56 +606,40 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
     edge_cache: dict = {}
 
     def edges_of(v):
-        """Fixed letters x usable as a circuit step at v = (i, j, pi):
-        every other orbit's induced configuration is finitary-satisfiable."""
+        """(x, w) per successor vertex w of v = (i, j, pi) at a fixed letter
+        x whose other orbits' configurations are finitary-satisfiable."""
         if v not in edge_cache:
             out = steps(*v)
             edge_cache[v] = [
-                (s.letter, succs)
+                (s.letter, w)
                 for s, succs in out
                 if s.size == 1
                 and all(fin.satisfiable(o.config) is not None for o, _ in out if o is not s)
+                for w in succs
             ]
         return edge_cache[v]
 
-    def find_cycle(start):
-        # DFS for a simple cycle of (pair, perm) vertices with pairwise
-        # distinct pairs returning to start
-        path = [start]
-        onpath_pairs = {start[:2]}
-        used_letters: list = []
-
-        def rec(v):
-            for x, succs in edges_of(v):
-                for w in succs:
-                    if w == start:
-                        used_letters.append(x)
-                        return True
-                    if w[:2] in onpath_pairs:
-                        continue
-                    path.append(w)
-                    onpath_pairs.add(w[:2])
-                    used_letters.append(x)
-                    if rec(w):
-                        return True
-                    path.pop()
-                    onpath_pairs.discard(w[:2])
-                    used_letters.pop()
-            return False
-
-        if rec(start):
-            return list(path), list(used_letters)
-        return None
-
     def circuit(i, j):
-        for v in graph.pairs[(i, j)]:
-            hit = find_cycle(v)
-            if hit:
-                cycle, letters = hit
-                for t, (vi, vj, _) in enumerate(cycle):
-                    if (vi, vj) not in dist:
-                        dist[(vi, vj)] = ("circuit", cycle[t:] + cycle[:t], letters[t:] + letters[:t])
-                return
+        # depth-first from each vertex of the pair for a cycle back to it
+        # through vertices of pairwise distinct pairs, on an explicit
+        # stack of (letter in, vertex, edge iterator)
+        for start in graph.pairs[(i, j)]:
+            stack, on_path = [(None, start, iter(edges_of(start)))], {start[:2]}
+            while stack:
+                for x, w in stack[-1][2]:
+                    if w == start:
+                        cycle = [v for _, v, _ in stack]
+                        letters = [y for y, _, _ in stack[1:]] + [x]
+                        for t, (vi, vj, _) in enumerate(cycle):
+                            if (vi, vj) not in dist:
+                                dist[(vi, vj)] = ("circuit", cycle[t:] + cycle[:t], letters[t:] + letters[:t])
+                        return
+                    if w[:2] not in on_path:
+                        on_path.add(w[:2])
+                        stack.append((x, w, iter(edges_of(w))))
+                        break
+                else:
+                    on_path.discard(stack.pop()[1][:2])
 
     # the input pair sits first; once it is distinguished the remaining
     # pairs are irrelevant, since synthesis only follows rule references
@@ -667,21 +653,17 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
         if fin.status != "complete":
             return RestrictedDecision("unknown", certificate=fin.status)
 
-    # reduction closure: all orbit successors already distinguished
-    changed = (0, 0) not in dist
-    while changed:
+    # reduction closure: Gauss-Seidel sweeps, each pair taking its first
+    # vertex whose orbit successors are all distinguished
+    changed = True
+    while changed and (0, 0) not in dist:
         changed = False
-        for i, j in graph.pairs:
-            if (0, 0) in dist:
-                changed = False
-                break
-            if (i, j) in dist:
-                continue
-            for v in graph.pairs[(i, j)]:
-                if all(succs[0][:2] in dist for succs in graph.edges[v].values()):
-                    dist[(i, j)] = ("reduction", v[2])
+        for pair, vs in graph.pairs.items():
+            if pair not in dist:
+                v = next((v for v in vs if all(succs[0][:2] in dist for succs in graph.edges[v].values())), None)
+                if v is not None:
+                    dist[pair] = ("reduction", v[2])
                     changed = True
-                    break
 
     if (0, 0) not in dist:
         return RestrictedDecision(
@@ -690,40 +672,42 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
             % (len(dist), len(graph.pairs)),
         )
 
-    # synthesis of the witness, one rule at a time
+    # witness synthesis, post-order on an explicit stack of (pair, fills
+    # so far): a reduction pair's successors in orbit order, each fill read
+    # once its successor is done, as a later circuit renames its pairs
     synth_memo: dict = {}
-
-    def synth(pair) -> Word:
-        if pair in synth_memo:
-            return synth_memo[pair]
+    stack = [((0, 0), [])]
+    while stack:
+        pair, got = stack[-1]
         rule = dist[pair]
-        if rule[0] == "finitary":
-            w = fin.witness_word(rule[1])
+        if rule[0] == "reduction":
+            succ = [(x, succs[0][:2]) for x, succs in graph.edges[pair + (rule[1],)].items()]
+            if len(got) < len(succ):
+                x, child = succ[len(got)]
+                if child in synth_memo:
+                    got.append((x, synth_memo[child]))
+                else:
+                    stack.append((child, []))
+                continue
+            [name] = sys.fresh_names(["h"])
+            sys.define(name, rule[1], _pair_sections(graph, pair, rule[1], got))
+            synth_memo[pair] = ((name, 1),)
+        elif rule[0] == "finitary":
+            synth_memo[pair] = fin.witness_word(rule[1])
         elif rule[0] == "moving":
-            w = rule[1]
-        elif rule[0] == "circuit":
+            synth_memo[pair] = rule[1]
+        else:  # circuit: every pair of the cycle is named before any is defined
             cycle, letters = rule[1], rule[2]
             names = sys.fresh_names(["h"] * len(cycle))
             for t, (vi, vj, vpi) in enumerate(cycle):
                 synth_memo[(vi, vj)] = ((names[t], 1),)
-            for t, (vi, vj, vpi) in enumerate(cycle):
                 nxt = ((names[(t + 1) % len(cycle)], 1),)
                 fills = [(s.letter, nxt if s.letter == letters[t] else fin.witness_word(s.config))
                          for s, _ in steps(vi, vj, vpi)]
                 sys.define(names[t], vpi, _pair_sections(graph, (vi, vj), vpi, fills))
-            w = synth_memo[pair]
-        else:  # reduction
-            pi = rule[1]
-            fills = [(s.letter, synth(succs[0][:2])) for s, succs in steps(*pair, pi)]
-            secs = _pair_sections(graph, pair, pi, fills)
-            # named only now: the recursive calls above define names too
-            [name] = sys.fresh_names(["h"])
-            sys.define(name, pi, secs)
-            w = ((name, 1),)
-        synth_memo[pair] = w
-        return w
+        stack.pop()
 
-    h = Element(sys, synth((0, 0)))
+    h = Element(sys, synth_memo[(0, 0)])
     sys.validate()
     check = _conjugates(sys, h.word, a.word, b.word)
     if check is not True:
@@ -860,8 +844,10 @@ def _primitive(q) -> bool:
     return True
 
 
-def bounded_choice_search(csys: ChoiceSystem, preperiod: int = 4, period: int = 6,
-                          threshold: int = 2**16, max_passes: int = 256,
+_PREPERIOD, _PERIOD, _MAX_PASSES = 4, 6, 256  # bounds of bounded_choice_search
+
+
+def bounded_choice_search(csys: ChoiceSystem, threshold: int = 2**16,
                           choice_cap: int = 4096, work_cap: int = 1 << 22) -> SearchResult:
     """Eventually periodic choice with bounded activity, within bounds.
 
@@ -887,21 +873,20 @@ def bounded_choice_search(csys: ChoiceSystem, preperiod: int = 4, period: int = 
     thetas = {ch: csys.theta(ch) for ch in choice_list}
     mats = {ch: csys.matrix(ch) for ch in choice_list}
     cost = csys.dim * csys.dim
-    budget = [work_cap]
+    spent = itertools.count(cost, cost)  # scalar operations, counted before each step
 
     def step(u, mat):
-        budget[0] -= cost
-        if budget[0] < 0:
+        if next(spent) > work_cap:
             raise _CapExceeded(("search work", work_cap))
         return _saturating_step(u, mat, threshold)
 
     # distinct saturated states reachable within the preperiod bound,
     # thinned to minimal elements: the dynamics is monotone, so a choice
     # bounded from a larger state is bounded from a smaller one as well
-    def search():
+    try:
         prefix_of = {csys.u0: ()}
         frontier = [csys.u0]
-        for _ in range(preperiod):
+        for _ in range(_PREPERIOD):
             nxt = []
             for u in frontier:
                 for ch in choice_list:
@@ -921,7 +906,7 @@ def bounded_choice_search(csys: ChoiceSystem, preperiod: int = 4, period: int = 
             seen = {state: 0}
             boundary = [state]
             u = state
-            for _ in range(max_passes):
+            for _ in range(_MAX_PASSES):
                 for ch in q:
                     u = step(u, mats[ch])
                 if u in seen:
@@ -938,22 +923,19 @@ def bounded_choice_search(csys: ChoiceSystem, preperiod: int = 4, period: int = 
                 boundary.append(u)
             return False
 
-        for length in range(1, period + 1):
+        for length in range(1, _PERIOD + 1):
             for q in itertools.product(choice_list, repeat=length):
                 if not _primitive(q):
                     continue
                 for state, prefix in starts:
                     if bounded_from(state, q):
                         return SearchResult("found", prefix, q)
-        return SearchResult(
-            "not_found",
-            reason="no bounded pattern with preperiod <= %d, period <= %d" % (preperiod, period),
-        )
-
-    try:
-        return search()
     except _CapExceeded:
         return SearchResult(
             "not_found",
             reason="work budget %d exhausted before the bounds were covered" % work_cap,
         )
+    return SearchResult(
+        "not_found",
+        reason="no bounded pattern with preperiod <= %d, period <= %d" % (_PREPERIOD, _PERIOD),
+    )

@@ -456,14 +456,15 @@ def sim_basic_conjugator(graph: ConjGraph, policy="least") -> ConjugatorFR:
 
 def all_basic_conjugators(graph: ConjGraph, limit: int = 64) -> list:
     """Every one-permutation-per-node subgraph choice, in lexicographic
-    order of the choices along node discovery order."""
-    if not graph.roots:
-        return []
+    order of the choices along node discovery order, at most limit of
+    them; none when the root has no surviving vertex.  Partial choices
+    wait on an explicit stack, each node's options pushed in reverse, so
+    the depth-first walk takes the least first at any graph depth."""
     out: list = []
+    stack: list = [{}]
+    while stack and len(out) < limit:
+        assign = stack.pop()
 
-    def rec(assign):
-        if len(out) >= limit:
-            return
         def successors(node):
             # an unassigned node ends the walk there; the first one met
             # is the next to branch on
@@ -474,11 +475,8 @@ def all_basic_conjugators(graph: ConjGraph, limit: int = 64) -> list:
         node = next((n for n in breadth_first(graph.root, successors) if n not in assign), None)
         if node is None:
             out.append(_synthesize(graph, lambda n, opts: assign[n], _pair_sections))
-            return
-        for pi in graph.pair_options(*node):
-            rec({**assign, node: pi})
-
-    rec({})
+        else:
+            stack.extend({**assign, node: pi} for pi in reversed(graph.pair_options(*node)))
     return out
 
 

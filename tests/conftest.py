@@ -5,8 +5,10 @@ element.  Tests parse fresh copies so synthesized conjugators never
 leak between cases.
 """
 
+import contextlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -67,6 +69,46 @@ def deep_chains(levels: int) -> str:
             perm = " ".join(map(str, rng.choice(moving)))
             lines.append("%s%d = (%s, e, e) [%s]" % (name, i, below, perm))
     return "\n".join(lines) + "\n"
+
+
+def deep_bounded(chain: int, ring: int) -> str:
+    """Degree-2 DSL text of two bounded automata with t = (e, e) [1 0]:
+    ai = (a(i+1), t or e) and hi = (h(i+1), e) with root [1 0] or the
+    identity, for i = 1..chain + ring, where the last state's first
+    section is a(chain + 1), resp. h(chain + 1).  So a1 runs down a chain
+    of length chain into a ring of length ring, h1 likewise, and
+    h1^-1*a1*h1 is conjugate to a1 by the bounded h1.  The decorations
+    and root permutations are drawn from random.Random(2), the ring's
+    decorations redrawn until no rotation repeats them, so the ring's
+    states are distinct."""
+    rng = random.Random(2)
+    marks = [rng.choice("te") for _ in range(chain + ring)]
+    while any(marks[chain:] == marks[chain + k:] + marks[chain:chain + k] for k in range(1, ring)):
+        marks[chain:] = [rng.choice("te") for _ in range(ring)]
+    n = chain + ring
+    lines = ["alphabet 2", "t = (e, e) [1 0]"]
+    for i in range(1, n + 1):
+        below = i + 1 if i < n else chain + 1
+        lines.append("a%d = (a%d, %s)" % (i, below, marks[i - 1]))
+    for i in range(1, n + 1):
+        below = i + 1 if i < n else chain + 1
+        lines.append("h%d = (h%d, e)%s" % (i, below, rng.choice(["", " [1 0]"])))
+    return "\n".join(lines) + "\n"
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames: int):
+    """Lower the process's recursion limit to the current stack depth
+    plus frames inside the block, and restore it afterwards."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def one(sys, name: str) -> Element:

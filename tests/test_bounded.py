@@ -8,6 +8,7 @@ import pytest
 
 from arboreal import (
     NotBounded,
+    all_basic_conjugators,
     basic_conjugator,
     bounded_choice_search,
     choice_system,
@@ -31,7 +32,7 @@ from arboreal.elements import Exceeded
 from arboreal.perms import orbits
 from arboreal.system import merge_into, parse_system, reduce_word
 
-from conftest import CARRY, ODOMETER, ZOO, deep_chains, one
+from conftest import CARRY, ODOMETER, TWISTED, ZOO, deep_bounded, deep_chains, one, recursion_headroom
 from test_identity_corpus import load as load_corpus
 
 SWAP = (1, 0)
@@ -610,3 +611,26 @@ def test_finitary_witness_deeper_than_the_recursion_limit():
     assert dec.tag == "conjugate" and dec.cls == "finitary"
     assert dec.certificate == "finitary conjugator of depth 499"
     assert verify_conjugator(dec.conjugator, f, b, 6)
+
+
+@pytest.mark.parametrize("chain, ring, rule", [(0, 400, "circuit"), (395, 5, "reduction")])
+def test_bounded_witness_deeper_than_the_recursion_limit(chain, ring, rule):
+    # the Pol(0) cycle search, its synthesis and all_basic_conjugators
+    # walk explicit stacks, so 400-state inputs are answered with 200
+    # frames of headroom
+    sys = parse_system(deep_bounded(chain, ring))
+    a, h = one(sys, "a1"), one(sys, "h1")
+    b = multiply(multiply(inverse(h), a), h)
+    with recursion_headroom(200):
+        dec = conjugate_in_pol0_cyclic(a, b)
+        assert dec.tag == "conjugate" and dec.certificate == "rule %s" % rule
+        assert verify_conjugator(dec.conjugator, a, b, 6)
+        assert len(all_basic_conjugators(conjugate_in_aut(a, b).graph, limit=2)) == 2
+
+
+def test_restricted_decisions_print_their_verdict():
+    sys = parse_system(TWISTED)
+    a, b = one(sys, "a"), one(sys, "b")
+    assert str(conjugate_in_pol_minus1(a, a)) == "Conjugate(finitary)"
+    assert str(conjugate_in_pol_minus1(a, inverse(a))) == "NotConjugate"
+    assert str(conjugate_in_pol0_cyclic(a, b, cap=0)) == "Unknown(orbit-power closure exceeded cap 0)"

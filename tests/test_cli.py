@@ -8,7 +8,7 @@ from arboreal import Element, cli, emit_dot, inverse, multiply, sim_conj_graph
 from arboreal.oracle import MAX_DEPTH
 from arboreal.system import parse_system
 
-from conftest import BRANCH, CARRY, ODOMETER, TWISTED, ZOO, deep_chains
+from conftest import BRANCH, CARRY, ODOMETER, TWISTED, ZOO, deep_bounded, deep_chains, recursion_headroom
 
 
 @pytest.fixture
@@ -495,4 +495,13 @@ def test_deep_finitary_witness_is_answered(fr, capsys):
     # a Pol(-1) witness 500 symbols deep, past the recursion limit, answers
     path = fr(deep_chains(500))
     code, out = run(capsys, "conjugate", path, "f1", "k1^-1*f1*k1", "--group", "pol-1", "--cap", "4096")
+    assert code == 0 and out.startswith("conjugate")
+
+
+@pytest.mark.parametrize("chain, ring", [(0, 400), (395, 5)])
+def test_deep_bounded_witness_is_answered(fr, capsys, chain, ring):
+    # Pol(0) on 400-state inputs answers with 200 frames of headroom
+    path = fr(deep_bounded(chain, ring))
+    with recursion_headroom(200):
+        code, out = run(capsys, "conjugate", path, "a1", "h1^-1*a1*h1", "--group", "pol0")
     assert code == 0 and out.startswith("conjugate")

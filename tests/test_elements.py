@@ -56,6 +56,21 @@ def test_inverse_and_power_laws(odometer):
     assert equal(power(a, 0), multiply(a, inverse(a))) is True
 
 
+def test_element_operators(twisted):
+    # *, ~ and ** are multiply, inverse and power; == and hash compare
+    # the system and the word, not the action
+    sys, a, b = twisted
+    assert a * b == multiply(a, b) and ~a == inverse(a) and a**3 == power(a, 3)
+    assert hash(a * b) == hash(multiply(a, b))
+    assert {a, one(sys, "a")} == {a}
+    assert a != b and a != one(parse_system(TWISTED), "a") and a != "a"
+    twin = parse_system("alphabet 2\na = (e, a) [1 0]\nz = (e, z) [1 0]\n")
+    assert one(twin, "a") != one(twin, "z") and equal(one(twin, "a"), one(twin, "z")) is True
+    assert repr(a * ~b) == "<Element a*b^-1>" and repr(a**3) == "<Element a*a*a>"
+    assert a.section(1) == a and a.section(0) == Element.trivial(sys)
+    assert b.section(1) == ~b
+
+
 def test_section_of_a_product(twisted):
     _, a, b = twisted
     g, h = multiply(a, b), multiply(b, inverse(a))
