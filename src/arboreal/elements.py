@@ -10,7 +10,6 @@ dictionary lookup.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .perms import Perm
@@ -179,7 +178,8 @@ def _bisimulate(sys: FRSystem, u: Word, v: Word, budget: int):
     (Hopcroft and Karp): a pair is skipped when its two words are the
     same, when the system already knows them equal, or when the pairs
     merged so far already join them.  A pair whose root permutations
-    differ, or that the system knows to be different, answers False.
+    differ, or that the system knows to be different, answers False,
+    for the walk and for each merged pair on its path (_refute).
     Every merged pair is assumed equal, which is sound because the walk
     closes them under sections.  The budget counts merged pairs, the
     first one included.
@@ -189,12 +189,15 @@ def _bisimulate(sys: FRSystem, u: Word, v: Word, budget: int):
     root, section, find, eq = sys.root_perm, sys.section, sys.find, sys._eq
     if root(u) != root(v):
         return False
-    # run-local union-find: each merge points one class root at another
+    # run-local union-find: each merge points one class root at another;
+    # merged pairs are walked in the order they are merged, and up[i] is
+    # the index of the pair whose sections merged[i] is
     joined = {u: v}
     merged = [(u, v)]
-    queue = deque(merged)
-    while queue:
-        s, t = queue.popleft()
+    up = [-1]
+    i = 0
+    while i < len(merged):
+        s, t = merged[i]
         for x in range(sys.degree):
             a, b = find(section(s, x)), find(section(t, x))
             if len(a) > MAX_WORD_LENGTH or len(b) > MAX_WORD_LENGTH:
@@ -203,7 +206,7 @@ def _bisimulate(sys: FRSystem, u: Word, v: Word, budget: int):
                 continue
             known = eq.get((a, b) if a <= b else (b, a))
             if known is False:
-                return False
+                return _refute(eq, merged, up, i)
             if known:
                 continue
             ra, rb = a, b
@@ -214,12 +217,13 @@ def _bisimulate(sys: FRSystem, u: Word, v: Word, budget: int):
             if ra == rb:
                 continue
             if root(a) != root(b):
-                return False
+                return _refute(eq, merged, up, i)
             if len(merged) >= budget:
                 return Exceeded("bisimulation pairs", budget)
             joined[ra] = rb
             merged.append((a, b))
-            queue.append((a, b))
+            up.append(i)
+        i += 1
     # a*b^-1 is trivial for each merged pair: these are the words a walk
     # of the quotient u*v^-1 visits, up to the representatives it picks,
     # and the union-find learns them as it would from that walk
@@ -229,20 +233,26 @@ def _bisimulate(sys: FRSystem, u: Word, v: Word, budget: int):
     return True
 
 
-def _trivial_word(sys: FRSystem, w: Word, budget: int):
-    w = sys.find(w)
-    return True if not w else _bisimulate(sys, w, EMPTY, budget)
+def _refute(eq: dict, merged: list, up: list, i: int) -> bool:
+    """False, recorded in eq for merged[i] and every pair above it on
+    the walk: each has an unequal section on the path down to the pair
+    that failed."""
+    while i >= 0:
+        a, b = merged[i]
+        eq[(a, b) if a <= b else (b, a)] = False
+        i = up[i]
+    return False
 
 
 def is_trivial(g: Element, budget: int = EQUALITY_BUDGET):
-    """True / False / Exceeded: the walk of _bisimulate against the
-    trivial word."""
-    return _trivial_word(g.system, g.word, budget)
+    """True / False / Exceeded: g == e, decided as equal decides it."""
+    return _equal_words(g.system, g.word, EMPTY, budget)
 
 
 def _equal_words(sys: FRSystem, u: Word, v: Word, budget: int):
     """Decide u == v for two reduced words: the union-find, the cache of
-    decided pairs and the depth-5 signature classes first, then _bisimulate."""
+    decided pairs and the signature classes, which read the levels of
+    at most SIGNATURE_LEAVES vertices (system.py), first; then _bisimulate."""
     u, v = sys.find(u), sys.find(v)
     if u == v:
         return True
@@ -269,8 +279,9 @@ class Interner:
 
     Keys are handed out in first-seen order; words[k] is the union-find
     representative the key was created for.  Lookup first tries the
-    representative, then the bucket of its depth-5 signature class, and
-    only runs bisimulations against candidates sharing the class.
+    representative, then the bucket of its signature class, whose depth
+    system.py derives from SIGNATURE_LEAVES, and only runs bisimulations
+    against candidates sharing the class.
     """
 
     def __init__(self, system: FRSystem):
@@ -416,7 +427,7 @@ def minimize(g: Element, budget: int = MINIMIZE_BUDGET):
     order, transitions = walk
     words = [interner.words[k] for k in order]
     outputs = tuple(sys.root_perm(w) for w in words)
-    trivial = next((i for i, w in enumerate(words) if _trivial_word(sys, w, EQUALITY_BUDGET) is True), None)
+    trivial = next((i for i, w in enumerate(words) if _equal_words(sys, w, EMPTY, EQUALITY_BUDGET) is True), None)
     return Machine(
         degree=sys.degree,
         transitions=tuple(tuple(r) for r in transitions),

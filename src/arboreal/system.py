@@ -30,8 +30,9 @@ TRIVIAL_NAME = "e"
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-# levels of root permutations a signature separates
-SIGNATURE_DEPTH = 5
+# vertices of the lowest level a signature reads: its depth is the
+# deepest k with degree**(k - 1) <= SIGNATURE_LEAVES
+SIGNATURE_LEAVES = 64
 
 
 class DslError(ValueError):
@@ -107,6 +108,9 @@ class FRSystem:
         if degree < 2:
             raise ValueError("alphabet degree must be at least 2")
         self.degree = degree
+        self._sig_depth = 1
+        while degree**self._sig_depth <= SIGNATURE_LEAVES:
+            self._sig_depth += 1
         self._defs: dict[str, tuple[Perm, tuple[Word, ...]]] = {}
         self._order: list[str] = []
         # caches, keyed by reduced words
@@ -166,16 +170,14 @@ class FRSystem:
         name of the list: the base itself when that is free and valid,
         else the first free base_2, base_3, ...  Nothing is reserved: a
         later call may hand out a name again until it is defined."""
-        taken = set(self._defs)
-        out = []
+        defs, handed, out = self._defs, set(), []
         for base in bases:
             name = base
-            if name in taken or name == TRIVIAL_NAME or not _NAME_RE.fullmatch(name):
+            if name in defs or name in handed or name == TRIVIAL_NAME or not _NAME_RE.fullmatch(name):
                 i = 2
-                while "%s_%d" % (base, i) in taken:
+                while (name := "%s_%d" % (base, i)) in defs or name in handed:
                     i += 1
-                name = "%s_%d" % (base, i)
-            taken.add(name)
+            handed.add(name)
             out.append(name)
         return out
 
@@ -261,21 +263,26 @@ class FRSystem:
                 return out
 
     def signature(self, w: Word) -> int:
-        """Class of w under depth-SIGNATURE_DEPTH bisimilarity: a cheap
-        invariant that spares bisimulations between words it separates."""
-        return self._depth_class(w, SIGNATURE_DEPTH)
+        """Class of w under bisimilarity down to the deepest level of at
+        most SIGNATURE_LEAVES vertices: a cheap invariant that spares
+        bisimulations between words it separates."""
+        return self._depth_class(w, self._sig_depth)
 
     def _depth_class(self, w: Word, k: int) -> int:
         """Hash-consed class of (root_perm(w),) for k = 1, else of root_perm(w)
         and the depth k-1 classes of the sections of w: equal exactly when
         the root permutations agree at every vertex above level k."""
-        key = (w, k)
-        cls = self._sig.get(key)
+        sig = self._sig
+        cls = sig.get((w, k))
         if cls is None:
-            node = (self.root_perm(w),)
+            node = [self.root_perm(w)]
             if k > 1:
-                node += tuple(self._depth_class(self.section(w, x), k - 1) for x in range(self.degree))
-            cls = self._sig[key] = self._classes.setdefault(node, len(self._classes))
+                # the memo is read before recursing: most sections are classed
+                for x in range(self.degree):
+                    s = self.section(w, x)
+                    c = sig.get((s, k - 1))
+                    node.append(self._depth_class(s, k - 1) if c is None else c)
+            cls = sig[(w, k)] = self._classes.setdefault(tuple(node), len(self._classes))
         return cls
 
     # -- union-find over words proven equal ------------------------------

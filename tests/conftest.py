@@ -71,6 +71,19 @@ def deep_chains(levels: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def swap_chains(levels: int) -> str:
+    """Degree-2 DSL text of two finitary chains of the given depth,
+    fi = (f(i+1), e) and ki = (k(i+1), e) [1 0], each ending in
+    (e, e) [1 0]: the states of a chain differ only at the chain's last
+    level, so their words share signatures deep into the chains."""
+    lines = ["alphabet 2"]
+    for name, perm in (("f", ""), ("k", " [1 0]")):
+        for i in range(1, levels):
+            lines.append("%s%d = (%s%d, e)%s" % (name, i, name, i + 1, perm))
+        lines.append("%s%d = (e, e) [1 0]" % (name, levels))
+    return "\n".join(lines) + "\n"
+
+
 def deep_bounded(chain: int, ring: int) -> str:
     """Degree-2 DSL text of two bounded automata with t = (e, e) [1 0]:
     ai = (a(i+1), t or e) and hi = (h(i+1), e) with root [1 0] or the

@@ -27,12 +27,13 @@ from arboreal import (
     random_bounded,
     verify_conjugator,
 )
+from arboreal import elements
 from arboreal.bounded import ConfigSpace, Configuration, FinSat, _OrbitStep
 from arboreal.elements import Exceeded
 from arboreal.perms import orbits
 from arboreal.system import merge_into, parse_system, reduce_word
 
-from conftest import CARRY, ODOMETER, TWISTED, ZOO, deep_bounded, deep_chains, one, recursion_headroom
+from conftest import CARRY, ODOMETER, TWISTED, ZOO, deep_bounded, deep_chains, one, recursion_headroom, swap_chains
 from test_identity_corpus import load as load_corpus
 
 SWAP = (1, 0)
@@ -611,6 +612,29 @@ def test_finitary_witness_deeper_than_the_recursion_limit():
     assert dec.tag == "conjugate" and dec.cls == "finitary"
     assert dec.certificate == "finitary conjugator of depth 499"
     assert verify_conjugator(dec.conjugator, f, b, 6)
+
+
+def test_failed_walks_refute_their_path_down_swap_chains(monkeypatch):
+    # each failed walk records every pair on its path as unequal, so
+    # later walks down the chains stop where an earlier one failed:
+    # 18,150 and 76,250 walks at 100 and 200 levels without the records
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return bisimulate(*args)
+
+    bisimulate = elements._bisimulate
+    monkeypatch.setattr(elements, "_bisimulate", counted)
+    counts = []
+    for levels in (100, 200):
+        walks.clear()
+        sys = parse_system(swap_chains(levels))
+        f, k = one(sys, "f1"), one(sys, "k1")
+        dec = conjugate_in_pol_minus1(multiply(multiply(inverse(k), f), k), f, cap=4096)
+        assert dec.tag == "conjugate" and dec.cls == "finitary"
+        counts.append(len(walks))
+    assert counts == [8837, 37637]
 
 
 @pytest.mark.parametrize("chain, ring, rule", [(0, 400, "circuit"), (395, 5, "reduction")])

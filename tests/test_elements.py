@@ -21,7 +21,7 @@ from arboreal import (
 from arboreal import configurations, nucleus, orbit_signalizer, random_bounded
 from arboreal import elements
 from arboreal.elements import MAX_WORD_LENGTH, Interner, _bisimulate
-from arboreal.system import EMPTY, SIGNATURE_DEPTH, FRSystem, merge_into, parse_system, reduce_word
+from arboreal.system import EMPTY, FRSystem, merge_into, parse_system, reduce_word
 
 from conftest import BRANCH, CARRY, ODOMETER, TWISTED, ZOO, one
 
@@ -242,12 +242,16 @@ SIGNATURE_SYSTEMS = {
 def test_signature_classes_match_the_tuple_signature(label):
     sys = SIGNATURE_SYSTEMS[label]()
     words = short_words(sys)
-    for k in range(1, SIGNATURE_DEPTH + 1):
+    for k in range(1, sys._sig_depth + 1):
         classes = [sys._depth_class(w, k) for w in words]
         tuples = [reference_signature(sys, w, k) for w in words]
         for i, j in combinations(range(len(words)), 2):
             assert (classes[i] == classes[j]) == (tuples[i] == tuples[j]), (label, k, words[i], words[j])
-    assert all(sys.signature(w) == sys._depth_class(w, SIGNATURE_DEPTH) for w in words)
+    assert all(sys.signature(w) == sys._depth_class(w, sys._sig_depth) for w in words)
+
+
+def test_signature_depth_reads_at_most_64_vertices_of_its_lowest_level():
+    assert [FRSystem(d)._sig_depth for d in (2, 3, 4, 5, 6)] == [7, 4, 4, 3, 3]
 
 
 def test_proven_equal_words_share_a_signature():
@@ -263,8 +267,9 @@ def test_proven_equal_words_share_a_signature():
 
 
 def test_deep_signatures_spare_closure_bisimulations(monkeypatch):
-    # words of the BRANCH closure mostly differ three to five levels
-    # down; a depth-3 signature left 1,415 bisimulations to this call
+    # words of the BRANCH closure mostly differ three to seven levels
+    # down; a depth-3 signature left 1,415 bisimulations to this call,
+    # a depth-5 one 31, and the depth-7 one of degree 2 leaves none
     calls = []
 
     def counted(*args):
@@ -276,4 +281,36 @@ def test_deep_signatures_spare_closure_bisimulations(monkeypatch):
     sys = parse_system(BRANCH)
     closure = orbit_signalizer(one(sys, "b"), 150)
     assert len(closure.elements) == 151
-    assert len(calls) < 100
+    assert len(calls) == 0
+
+
+def test_minimize_screens_its_trivial_state_test(monkeypatch):
+    # each state is compared with e through the signature and the cache
+    # of decided pairs, so no state of this 5-state machine is walked
+    against_e = []
+
+    def counted(sys, u, v, budget):
+        against_e.extend(w for w in (u, v) if w == EMPTY)
+        return bisimulate(sys, u, v, budget)
+
+    bisimulate = elements._bisimulate
+    monkeypatch.setattr(elements, "_bisimulate", counted)
+    sys = random_bounded(5, 4, 4)
+    g = one(sys, sys.symbols[0])
+    for name in sys.symbols[1:]:
+        g = multiply(g, one(sys, name))
+    machine = minimize(g)
+    assert (machine.n_states, machine.trivial) == (5, 4)
+    assert against_e == []
+
+
+def test_a_failed_walk_refutes_its_path():
+    # a and a2 differ only at vertex 00, where c and c2 part: the pairs
+    # (a, a2) and (b, b2) above it are recorded unequal as well
+    sys = parse_system(
+        "alphabet 2\na = (b, e)\nb = (c, e)\nc = (e, e) [1 0]\n"
+        "a2 = (b2, e)\nb2 = (c2, e)\nc2 = (e, e)\n"
+    )
+    a, a2, b, b2 = (((n, 1),) for n in ("a", "a2", "b", "b2"))
+    assert _bisimulate(sys, a, a2, 100) is False
+    assert sys._eq == {(a, a2): False, (b, b2): False}

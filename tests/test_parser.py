@@ -99,6 +99,14 @@ def test_fresh_names_do_not_collide():
     assert batch[3] == "c" and "e" not in batch
 
 
+def test_fresh_names_reserve_nothing():
+    # with no definition in between, a second call hands out the same names
+    sys = parse_system(TWISTED)
+    first = sys.fresh_names(["a", "h", "h"])
+    assert first == ["a_2", "h", "h_2"]
+    assert sys.fresh_names(["a", "h", "h"]) == first
+
+
 def test_merge_renames_past_names_it_hands_out():
     # dst has a; src has a and a_2: a must not be renamed onto src's a_2
     dst = parse_system(TWISTED)
