@@ -8,12 +8,12 @@ pass does, and runs them one at a time.  Per pass it prints the
 automatic collections of each generation made while the queries ran,
 the seconds spent in them, and the seconds of the queries themselves.
 After the last pass, with its inputs still alive, it prints the objects
-the collector tracks after a full collection, then the configuration
-objects the library keeps: the `bounded.Configuration` and
-`bounded._OrbitStep` instances reachable from any tracked object, and
-how many distinct configurations the live configuration spaces hold
-between them.  Each pass imports the library from ./src afresh; nothing
-is timed against a reference, so the times are raw.
+the collector tracks after a full collection, then what the live
+configuration spaces (`bounded.ConfigSpace`) hold between them: their
+distinct configurations and their steps-memo entries, and how many of
+those entries the collector still tracks.  Each pass imports the
+library from ./src afresh; nothing is timed against a reference, so the
+times are raw.
 """
 
 from __future__ import annotations
@@ -35,25 +35,6 @@ def fresh_import():
     for name in [n for n in sys.modules if n == "arboreal" or n.startswith("arboreal.")]:
         del sys.modules[name]
     return importlib.import_module("arboreal")
-
-
-def reachable(roots, kind) -> list:
-    """The objects of type kind reachable from roots through tuples,
-    lists, dicts, sets and the attributes of library objects, tracked
-    by the collector or not."""
-    found, seen, todo = [], set(), list(roots)
-    while todo:
-        obj = todo.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if type(obj) is kind:
-            found.append(obj)
-        if isinstance(obj, (tuple, list, dict, set, frozenset)):
-            todo.extend(gc.get_referents(obj))
-        elif type(obj).__module__.startswith("arboreal.") and hasattr(obj, "__dict__"):
-            todo.append(vars(obj))
-    return found
 
 
 def run_pass(workload, seed: int):
@@ -94,17 +75,14 @@ def main(argv=None):
         print("pass %d: collections gen0 %d gen1 %d gen2 %d, %.3f s in collections, %.3f s in queries"
               % (i + 1, *counts, spent, wall))
     gc.collect()
-    # counted first: the walk below gives library objects their __dict__
-    print("objects tracked after a full collection %d" % len(gc.get_objects()))
-    bounded = A.bounded
     tracked = gc.get_objects()
-    configs = reachable(tracked, bounded.Configuration)
-    steps = reachable(tracked, bounded._OrbitStep)
+    print("objects tracked after a full collection %d" % len(tracked))
     # equal configurations of different systems are different ones
-    spaces = [obj for obj in tracked if type(obj) is bounded.ConfigSpace]
-    distinct = sum(len(set(reachable([sp], bounded.Configuration))) for sp in spaces)
-    print("live Configuration objects %d for %d distinct configurations of %d spaces; live _OrbitStep objects %d"
-          % (len(configs), distinct, len(spaces), len(steps)))
+    spaces = [obj for obj in tracked if type(obj) is A.bounded.ConfigSpace]
+    entries = [item for sp in spaces for item in sp._succ.items()]
+    print("distinct configurations %d in %d spaces" % (sum(len(sp.configs) for sp in spaces), len(spaces)))
+    print("steps-memo entries %d, tracked %d"
+          % (len(entries), sum(gc.is_tracked(k) or gc.is_tracked(v) for k, v in entries)))
     del queries
     return 0
 

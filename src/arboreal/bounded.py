@@ -27,7 +27,6 @@ import heapq
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .classify import polynomial_degree
 from .conjugacy import _orbit_sections, _pair_sections, conjugate_in_aut
@@ -48,35 +47,18 @@ class _CapExceeded(Exception):
         self.info = info
 
 
-class Configuration(NamedTuple):
-    """Main orbit-power pair plus the deduplicated dependency pairs,
-    all as interner keys of one ConfigSpace.  A named tuple, so dict and
-    set probes hash it in C; the space hands out one object per equal
-    configuration, so most probes that hit match it by identity."""
-
-    main: tuple
-    dp: tuple
-
-
-class _OrbitStep(NamedTuple):
-    """One orbit of a configuration under a chosen permutation: anchor
-    letter, orbit size and induced configuration.  Its dependency-pair
-    moves are not kept; ConfigSpace.moves computes them on demand."""
-
-    letter: int
-    size: int
-    config: Configuration
-
-
 class ConfigSpace:
     """Interner-backed store for configurations of one system.
 
-    The trivial element is interned first so key 0 is always e; the
-    dependency sets sort by key, which keeps (e,e) in front.  config
-    returns one shared object per equal configuration, and steps keeps
-    per (configuration, permutation) only the letter, size and induced
-    configuration of each orbit; the matrix procedure, the one reader of
-    the dependency-pair moves, gets them from moves on demand.
+    A configuration is an int handed out by config.  Its value
+    configs[c] is the main pair followed by the dependency pairs, sorted
+    by key, as one flat tuple of interner keys (ka, kb, kc1, kd1, ...):
+    flat, as the cyclic collector untracks tuples of ints one level of
+    nesting per collection.  The trivial element is interned first so
+    key 0 is always e, which keeps (e,e) in front.  steps keeps per
+    (configuration, permutation) only a (letter, size, configuration)
+    tuple per orbit; the matrix procedure, the one reader of the
+    dependency-pair moves, gets them from moves on demand.
 
     ConfigSpace.of(system) is the space the deciders share; it lives as
     long as its system and grows with every query on it.  That is sound
@@ -101,8 +83,9 @@ class ConfigSpace:
         self.system = system
         self.interner = Interner(system)
         self.trivial = self.key(EMPTY)
+        self.configs: list = []
+        self._ids: dict = {}
         self._cpi: dict = {}
-        self._configs: dict = {}
         self._succ: dict = {}
         self._orbits: dict = {}
         self._powers: dict = {}
@@ -127,11 +110,6 @@ class ConfigSpace:
 
     def root_perm(self, k: int) -> Perm:
         return self.system.root_perm(self.interner.words[k])
-
-    def cpi(self, ka: int, kb: int) -> tuple:
-        if (ka, kb) not in self._cpi:
-            self._cpi[(ka, kb)] = conjugators(self.root_perm(ka), self.root_perm(kb))
-        return self._cpi[(ka, kb)]
 
     def orbits(self, k: int) -> list:
         if k not in self._orbits:
@@ -161,24 +139,48 @@ class ConfigSpace:
         km = self._moves[entry] = self.key(moved)
         return km
 
-    def config(self, main, dp) -> Configuration:
-        cfg = Configuration(tuple(main), tuple(sorted(set(dp))))
-        return self._configs.setdefault(cfg, cfg)
+    def config(self, main, dp) -> int:
+        """The id of the configuration with main pair main and the
+        dependency pairs dp, given in any order and with repeats."""
+        value = (*main, *itertools.chain(*sorted(set(dp))))
+        c = self._ids.get(value)
+        if c is None:
+            c = self._ids[value] = len(self.configs)
+            self.configs.append(value)
+        return c
 
-    def root_config(self, a: Element, b: Element) -> Configuration:
-        return self.config((self.key(a.word), self.key(b.word)), [(self.trivial, self.trivial)])
+    def root_config(self, a: Element, b: Element) -> int:
+        return self.pair_config(self.key(a.word), self.key(b.word))
 
-    def pair_config(self, ka: int, kb: int) -> Configuration:
+    def pair_config(self, ka: int, kb: int) -> int:
         return self.config((ka, kb), [(self.trivial, self.trivial)])
 
-    def steps(self, cfg: Configuration, pi: Perm) -> tuple:
-        """Per orbit of the main pair's left root action: the induced
-        configuration one level down, whose dependency pairs are the
-        targets of the moves."""
-        if (cfg, pi) in self._succ:
-            return self._succ[(cfg, pi)]
-        ka, kb = cfg.main
-        table, move, configs = self._moves, self._move, self._configs
+    def is_trivial(self, c: int) -> bool:
+        """Every pair of configuration c equal: the trivial automorphism
+        satisfies it."""
+        return self.configs[c][0::2] == self.configs[c][1::2]
+
+    def dependency_pairs(self, c: int) -> list:
+        return list(zip(self.configs[c][2::2], self.configs[c][3::2]))
+
+    def cpi(self, c: int) -> tuple:
+        """The root conjugators of configuration c's main pair."""
+        main = self.configs[c][:2]
+        out = self._cpi.get(main)
+        if out is None:
+            out = self._cpi[main] = conjugators(self.root_perm(main[0]), self.root_perm(main[1]))
+        return out
+
+    def steps(self, c: int, pi: Perm) -> tuple:
+        """Per orbit of the main pair's left root action, a tuple (letter,
+        size, configuration): the orbit's least letter, its length and the
+        induced configuration one level down, whose dependency pairs are
+        the targets of the moves."""
+        out = self._succ.get((c, pi))
+        if out is not None:
+            return out
+        ka, kb = self.configs[c][:2]
+        dp, table, move = self.dependency_pairs(c), self._moves, self._move
         out = []
         for orb in self.orbits(ka):
             x = orb[0]
@@ -187,47 +189,48 @@ class ConfigSpace:
             targets = {
                 (table[ea] if (ea := (ka, kc, x, y)) in table else move(ea, t),
                  table[eb] if (eb := (kb, kd, px, pi[y])) in table else move(eb, t))
-                for kc, kd in cfg.dp
+                for kc, kd in dp
                 for t, y in enumerate(orb)
             }
-            cfg2 = Configuration(main2, tuple(sorted(targets)))
-            out.append(_OrbitStep(x, len(orb), configs.setdefault(cfg2, cfg2)))
-        out = tuple(out)
-        self._succ[(cfg, pi)] = out
+            out.append((x, len(orb), self.config(main2, targets)))
+        out = self._succ[(c, pi)] = tuple(out)
         return out
 
-    def moves(self, cfg: Configuration, pi: Perm) -> list:
-        """Per orbit step of steps(cfg, pi), in its order: the multiset of
+    def moves(self, c: int, pi: Perm) -> list:
+        """Per orbit step of steps(c, pi), in its order: the multiset of
         dependency-pair moves (source pair, target pair), one per pair
         and power."""
-        ka, kb = cfg.main
-        table, move = self._moves, self._move
+        ka, kb = self.configs[c][:2]
+        dp, table, move = self.dependency_pairs(c), self._moves, self._move
         out = []
         for orb in self.orbits(ka):
             x, px = orb[0], pi[orb[0]]
             out.append([
                 ((kc, kd), (table[ea] if (ea := (ka, kc, x, y)) in table else move(ea, t),
                             table[eb] if (eb := (kb, kd, px, pi[y])) in table else move(eb, t)))
-                for kc, kd in cfg.dp
+                for kc, kd in dp
                 for t, y in enumerate(orb)
             ])
         return out
 
-    def describe(self, cfg: Configuration) -> str:
-        pair = "(%s, %s)" % (format_word(self.word(cfg.main[0])), format_word(self.word(cfg.main[1])))
-        dps = ", ".join(
-            "(%s, %s)" % (format_word(self.word(kc)), format_word(self.word(kd)))
-            for kc, kd in cfg.dp
-        )
-        return "{%s; DP={%s}}" % (pair, dps)
+    def sections(self, c: int, pi: Perm, fills: list) -> list:
+        """_orbit_sections of c's main pair under pi and the fills."""
+        ka, kb = self.configs[c][:2]
+        return _orbit_sections(self.system, self.word(ka), self.word(kb), pi, fills)
+
+    def describe(self, c: int) -> str:
+        pair, *dps = ["(%s, %s)" % (format_word(self.word(kc)), format_word(self.word(kd)))
+                      for kc, kd in zip(self.configs[c][0::2], self.configs[c][1::2])]
+        return "{%s; DP={%s}}" % (pair, ", ".join(dps))
 
 
 @dataclass(eq=False)
 class ConfigClosure:
     """Closure from the root configuration.
 
-    universe maps every configuration explored to its branches, one per
-    root conjugator pi, each the tuple of orbit steps.  viable is the
+    Configurations are ids of space.  universe maps every configuration
+    explored to its branches, one per root conjugator pi, each the tuple
+    of orbit steps (letter, size, configuration).  viable is the
     survival fixpoint (graphs.surviving) over configurations and branch
     nodes (cfg, pi): a branch needs every induced configuration, and a
     configuration needs one of its branches.  configs lists the viable
@@ -236,7 +239,7 @@ class ConfigClosure:
     """
 
     space: ConfigSpace
-    root: Configuration
+    root: int | None
     configs: list
     universe: dict
     viable: set
@@ -246,11 +249,11 @@ class ConfigClosure:
     def complete(self) -> bool:
         return self.status == "complete"
 
-    def viable_cpi(self, cfg: Configuration) -> tuple:
+    def viable_cpi(self, cfg: int) -> tuple:
         out = []
-        for pi in self.space.cpi(*cfg.main):
+        for pi in self.space.cpi(cfg):
             steps = self.universe.get(cfg, {}).get(pi)
-            if steps is not None and all(s.config in self.viable for s in steps):
+            if steps is not None and all(c in self.viable for _, _, c in steps):
                 out.append(pi)
         return tuple(out)
 
@@ -262,26 +265,26 @@ def configurations(a: Element, b: Element, cap: int = 512) -> ConfigClosure:
     fin = FinSat(space, max(cap, 1), "config cap %d" % cap)
     try:
         root = space.root_config(a, b)
-        breadth_first(root, lambda c: [s.config for steps in fin.expand(c).values() for s in steps])
+        breadth_first(root, lambda cfg: [c for steps in fin.expand(cfg).values() for _, _, c in steps])
     except _CapExceeded as exc:
         return ConfigClosure(space, None, [], {}, set(), "exceeded: %s" % (exc.info,))
     return _closure(space, root, fin.univ)
 
 
-def _closure(space: ConfigSpace, root: Configuration, universe: dict) -> ConfigClosure:
+def _closure(space: ConfigSpace, root: int, universe: dict) -> ConfigClosure:
     """The ConfigClosure of a universe closed under successors."""
     # a configuration with no conjugator has one empty group and dies
     groups: dict = {}
     for cfg, branches in universe.items():
         groups[cfg] = [[(cfg, pi) for pi in branches]]
         for pi, steps in branches.items():
-            groups[(cfg, pi)] = [(s.config,) for s in steps]
+            groups[(cfg, pi)] = [(c,) for _, _, c in steps]
     alive = surviving(groups)
     viable = {cfg for cfg in universe if cfg in alive}
     configs: list = []
     if root in viable:
         configs = breadth_first(root, lambda cfg: (
-            s.config for pi, steps in universe[cfg].items() if (cfg, pi) in alive for s in steps
+            c for pi, steps in universe[cfg].items() if (cfg, pi) in alive for _, _, c in steps
         ))
     return ConfigClosure(space, root, configs, universe, viable, "complete")
 
@@ -292,11 +295,6 @@ def _conjugates(sys: FRSystem, h: Word, a: Word, b: Word):
 
 
 # -- finitary conjugators --------------------------------------------------------
-
-
-def _trivial(cfg: Configuration) -> bool:
-    """Every pair of cfg equal: the trivial automorphism satisfies it."""
-    return cfg.main[0] == cfg.main[1] and all(kc == kd for kc, kd in cfg.dp)
 
 
 class FinSat:
@@ -327,14 +325,14 @@ class FinSat:
         self._witness: dict = {}
         self.status = "complete"
 
-    def expand(self, cfg: Configuration) -> dict:
+    def expand(self, cfg: int) -> dict:
         """The branches {pi: steps} of cfg, stored in univ when first
         computed; _CapExceeded(full) if that passes the cap."""
         branches = self.univ.get(cfg)
         if branches is None:
             if len(self.univ) >= self.cap:
                 raise _CapExceeded(self.full)
-            branches = self.univ[cfg] = {pi: self.space.steps(cfg, pi) for pi in self.space.cpi(*cfg.main)}
+            branches = self.univ[cfg] = {pi: self.space.steps(cfg, pi) for pi in self.space.cpi(cfg)}
         return branches
 
     # One walk's fixpoint: the branch steps of cfg, at distance r, waits
@@ -342,11 +340,11 @@ class FinSat:
     # have depths it is ready, valued one more than the largest, and _run
     # gives least values first where r plus value is within the horizon.
 
-    def _watch(self, cfg: Configuration, r: int, steps: tuple):
+    def _watch(self, cfg: int, r: int, steps: tuple):
         depth = self.depth
-        wait = next((s.config for s in steps if s.config not in depth), None)
+        wait = next((c for _, _, c in steps if c not in depth), None)
         if wait is None:
-            heapq.heappush(self._heap, (1 + max(depth[s.config] for s in steps), r, cfg))
+            heapq.heappush(self._heap, (1 + max(depth[c] for _, _, c in steps), r, cfg))
         else:
             self._waits.setdefault(wait, []).append((cfg, r, steps))
 
@@ -361,17 +359,17 @@ class FinSat:
                 continue
             depth[cfg] = v
             self._pi[cfg] = next(pi for pi, steps in self.univ[cfg].items()
-                                 if all(depth.get(s.config, v) < v for s in steps))
+                                 if all(depth.get(c, v) < v for _, _, c in steps))
             for branch in self._waits.pop(cfg, ()):
                 self._watch(*branch)
         self._heap = later  # popped in order, so already a heap
 
-    def satisfiable(self, cfg: Configuration):
+    def satisfiable(self, cfg: int):
         """Depth of cfg, or None: unsatisfiable, or the cap was hit."""
         depth = self.depth
         if cfg in depth or cfg in self.dead or self.status != "complete":
             return depth.get(cfg)
-        if _trivial(cfg):
+        if self.space.is_trivial(cfg):
             depth[cfg] = 0
         self._waits, self._heap = {}, []
         layer, seen, dead, r = [cfg], {cfg}, self.dead, 0
@@ -380,11 +378,11 @@ class FinSat:
                 nxt = []
                 for c in layer:
                     branches = self.expand(c)
-                    for s in [t.config for steps in branches.values() for t in steps]:
+                    for s in [t for steps in branches.values() for _, _, t in steps]:
                         if s not in seen and s not in depth and s not in dead:
                             seen.add(s)
                             nxt.append(s)
-                            if _trivial(s):
+                            if self.space.is_trivial(s):
                                 depth[s] = 0
                     if c not in depth:
                         for steps in branches.values():
@@ -397,7 +395,7 @@ class FinSat:
             dead.update(c for c in seen if c not in depth)
         return depth.get(cfg)
 
-    def witness_word(self, cfg: Configuration) -> Word:
+    def witness_word(self, cfg: int) -> Word:
         """Word of a finitary automorphism satisfying cfg; requires
         satisfiable(cfg) is not None.
 
@@ -420,14 +418,13 @@ class FinSat:
                 continue
             pi = self._pi[c]
             steps = self.univ[c][pi]
-            todo = [s.config for s in reversed(steps) if s.config not in memo]
+            todo = [s for _, _, s in reversed(steps) if s not in memo]
             if todo:
                 stack.extend(todo)
                 continue
-            sys, word = self.space.system, self.space.word
-            fills = [(s.letter, memo[s.config]) for s in steps]
+            sys = self.space.system
             [name] = sys.fresh_names(["f"])
-            sys.define(name, pi, _orbit_sections(sys, word(c.main[0]), word(c.main[1]), pi, fills))
+            sys.define(name, pi, self.space.sections(c, pi, [(x, memo[s]) for x, _, s in steps]))
             memo[c] = ((name, 1),)
         return memo[cfg]
 
@@ -435,7 +432,7 @@ class FinSat:
 @dataclass(eq=False)
 class FinSatReport:
     closure: ConfigClosure
-    sat: list  # (Configuration, depth) over the surviving closure
+    sat: list  # (configuration id, depth) over the surviving closure
     root_depth: int | None
     witness: Element | None
     status: str
@@ -568,7 +565,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
         """Orbit steps of the pair's configuration under pi, each with
         the surviving vertices of the pair its orbit leads to."""
         edges = graph.edges[(i, j, pi)]
-        return [(s, edges[s.letter]) for s in space.steps(space.pair_config(ka[i], kb[j]), pi)]
+        return [(s, edges[s[0]]) for s in space.steps(space.pair_config(ka[i], kb[j]), pi)]
 
     # seed: finitary conjugator for the pair itself.  Once the seed rule
     # has passed over every pair, every non-trivial pair configuration is
@@ -611,10 +608,10 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
         if v not in edge_cache:
             out = steps(*v)
             edge_cache[v] = [
-                (s.letter, w)
-                for s, succs in out
-                if s.size == 1
-                and all(fin.satisfiable(o.config) is not None for o, _ in out if o is not s)
+                (x, w)
+                for (x, m, _), succs in out
+                if m == 1
+                and all(fin.satisfiable(c) is not None for (y, _, c), _ in out if y != x)
                 for w in succs
             ]
         return edge_cache[v]
@@ -702,8 +699,8 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
             for t, (vi, vj, vpi) in enumerate(cycle):
                 synth_memo[(vi, vj)] = ((names[t], 1),)
                 nxt = ((names[(t + 1) % len(cycle)], 1),)
-                fills = [(s.letter, nxt if s.letter == letters[t] else fin.witness_word(s.config))
-                         for s, _ in steps(vi, vj, vpi)]
+                fills = [(x, nxt if x == letters[t] else fin.witness_word(c))
+                         for (x, _, c), _ in steps(vi, vj, vpi)]
                 sys.define(names[t], vpi, _pair_sections(graph, (vi, vj), vpi, fills))
         stack.pop()
 
@@ -780,8 +777,8 @@ class ChoiceSystem:
         rows = [[0] * n for _ in range(n)]
         for ci, cfg in enumerate(self.configs):
             pi = choice[ci]
-            for step, moves in zip(self.space.steps(cfg, pi), self.space.moves(cfg, pi)):
-                ci2 = cfg_index[step.config]
+            for (_, _, c), moves in zip(self.space.steps(cfg, pi), self.space.moves(cfg, pi)):
+                ci2 = cfg_index[c]
                 for src, tgt in moves:
                     rows[index[(ci2, tgt)]][index[(ci, src)]] += 1
         out = tuple(tuple(r) for r in rows)
@@ -801,7 +798,8 @@ def choice_system(a: Element, b: Element, cap: int = 512) -> ChoiceSystem:
     closure = configurations(a, b, cap)
     if not closure.complete:
         return ChoiceSystem(closure, [], [], (), closure.status)
-    coords = [(ci, pair) for ci, cfg in enumerate(closure.configs) for pair in cfg.dp]
+    coords = [(ci, pair) for ci, cfg in enumerate(closure.configs)
+              for pair in closure.space.dependency_pairs(cfg)]
     per_config = [closure.viable_cpi(cfg) for cfg in closure.configs]
     ke = closure.space.trivial
     u0 = tuple(

@@ -171,8 +171,8 @@ def orbit_power_section(g: Element, letter: int) -> tuple[int, Element]:
 
 
 def _bisimulate(sys: FRSystem, u: Word, v: Word, budget: int):
-    """Decide u == v for two different union-find representatives: True,
-    False or Exceeded.
+    """Decide u == v for two different union-find representatives of at
+    most MAX_WORD_LENGTH letters: True, False or Exceeded.
 
     A breadth-first walk over pairs of section words, up to equivalence
     (Hopcroft and Karp): a pair is skipped when its two words are the
@@ -184,8 +184,6 @@ def _bisimulate(sys: FRSystem, u: Word, v: Word, budget: int):
     closes them under sections.  The budget counts merged pairs, the
     first one included.
     """
-    if len(u) > MAX_WORD_LENGTH or len(v) > MAX_WORD_LENGTH:
-        return Exceeded("word length", MAX_WORD_LENGTH)
     root, section, find, eq = sys.root_perm, sys.section, sys.find, sys._eq
     if root(u) != root(v):
         return False
@@ -252,7 +250,9 @@ def is_trivial(g: Element, budget: int = EQUALITY_BUDGET):
 def _equal_words(sys: FRSystem, u: Word, v: Word, budget: int):
     """Decide u == v for two reduced words: the union-find, the cache of
     decided pairs and the signature classes, which read the levels of
-    at most SIGNATURE_LEAVES vertices (system.py), first; then _bisimulate."""
+    at most SIGNATURE_LEAVES vertices (system.py), first; then _bisimulate.
+    A word longer than MAX_WORD_LENGTH that neither of the first two
+    decides is Exceeded, before any signature is built."""
     u, v = sys.find(u), sys.find(v)
     if u == v:
         return True
@@ -260,6 +260,8 @@ def _equal_words(sys: FRSystem, u: Word, v: Word, budget: int):
     cached = sys._eq.get(key)
     if cached is not None:
         return cached
+    if len(u) > MAX_WORD_LENGTH or len(v) > MAX_WORD_LENGTH:
+        return Exceeded("word length", MAX_WORD_LENGTH)
     if sys.signature(u) != sys.signature(v):
         sys._eq[key] = False
         return False
@@ -312,8 +314,8 @@ class Interner:
         return None, sig
 
     def key(self, w: Word):
-        """Key of the reduced word w, or Exceeded when an equality run
-        blows the budget."""
+        """Key of the reduced word w, or Exceeded when the word is longer
+        than MAX_WORD_LENGTH or an equality run blows the budget."""
         root = self.system.find(w)
         hit = self._by_root.get(root)
         if hit is None:
@@ -327,8 +329,8 @@ class Interner:
         return k
 
     def lookup(self, w: Word):
-        """Key of the reduced word w if semantically present, else None;
-        never inserts."""
+        """Key of the reduced word w if semantically present, None if
+        not, or Exceeded as for key; never inserts."""
         root = self.system.find(w)
         hit = self._by_root.get(root)
         return hit if hit is not None else self._probe(root)[0]

@@ -176,6 +176,23 @@ def test_interner_keys_words_by_semantic_equality(carry):
     assert len(intern) == 4
 
 
+def test_over_long_words_are_refused_before_any_signature(monkeypatch, branch):
+    # a word past MAX_WORD_LENGTH that the union-find and the cache of
+    # decided pairs do not settle answers Exceeded without building the
+    # signature sections of its levels, which take seconds on BRANCH
+    sys, b = branch
+
+    def refuse(self, w, k):
+        raise AssertionError("signature of an over-long word")
+
+    monkeypatch.setattr(FRSystem, "_depth_class", refuse)
+    for n in (MAX_WORD_LENGTH + 1, 4 * MAX_WORD_LENGTH):
+        long = power(b, n)
+        for res in (is_trivial(long), equal(long, b), equal(b, long)):
+            assert isinstance(res, Exceeded) and res.kind == "word length"
+    assert equal(long, long) is True
+
+
 def test_closures_never_recheck_their_own_words(monkeypatch):
     """The closures work on words the system produced; only their
     inputs are checked, when they are built."""
