@@ -7,7 +7,8 @@ state at the least vertex.  For bounded inputs the set of reachable
 configurations is finite, so the finitary decision is a fixpoint over
 it, walked layer by layer only until the queried depth is at most the
 number of layers expanded, which makes it exact.  The bounded decision
-combines finitary seeds with circuit rules and an orbit reduction.
+runs the rule table _RULES, then reduction sweeps, over one per-query
+state; tests/test_bounded.py tests each rule and the sweep alone.
 
 The matrix procedure is the constructive cross-check: per choice of a
 conjugating permutation for every configuration, a column-stochastic-
@@ -515,6 +516,151 @@ def _require_bounded(*gs: Element):
             raise NotBounded("input %s classifies as %s, not bounded" % (g, cls))
 
 
+class _Pol0:
+    """Per-query state of conjugate_in_pol0_cyclic: the pruned Aut graph,
+    the space, the FinSat, the closure keys ka and kb, dist (each pair's
+    rule entry), fixed, a _fixed_edges memo for the cycle search's
+    re-walks, and rows(v), memoised: per orbit of vertex v = (i, j, pi)
+    its letter, size, induced configuration and surviving successors,
+    from space.steps read only when first asked, in the rules' order."""
+
+    def __init__(self, graph, space: ConfigSpace, cap: int):
+        self.graph, self.space, self.fin = graph, space, FinSat(space, cap=max(4096, cap * 8))
+        self.ka = [space.key(g.word) for g in graph.os_a.elements]
+        self.kb = [space.key(g.word) for g in graph.os_b.elements]
+        self.dist, self.fixed, self._rows = {}, {}, {}
+
+    def config(self, i: int, j: int) -> int:
+        return self.space.pair_config(self.ka[i], self.kb[j])
+
+    def rows(self, v: tuple) -> list:
+        out = self._rows.get(v)
+        if out is None:
+            edges = self.graph.edges[v]
+            out = self._rows[v] = [(x, m, c, edges[x]) for x, m, c in self.space.steps(self.config(*v[:2]), v[2])]
+        return out
+
+
+def _seed(st: _Pol0, i: int, j: int) -> dict:
+    """The pair's own configuration has a finitary conjugator.  After the
+    seed pass every non-trivial pair configuration has cached steps."""
+    cfg = st.config(i, j)
+    return {(i, j): ("finitary", cfg)} if st.fin.satisfiable(cfg) is not None else {}
+
+
+def _moving(st: _Pol0, i: int, j: int) -> dict:
+    """The conjugator equals its section at a letter u moved by the pair's
+    left word c; the state at (u)c^t is then finitary and determines it.
+    Candidates come from the closure words; the first exact one is kept."""
+    sys, space, fin = st.space.system, st.space, st.fin
+    wc, wd = st.graph.os_a.elements[i].word, st.graph.os_b.elements[j].word
+    # the a side does not depend on pi
+    orbs = [(orb, [sys.power_sections(wc, u) for u in orb]) for orb in space.orbits(st.ka[i]) if len(orb) > 1]
+    for pi in st.graph.pair_options(i, j):
+        for orb, pc in orbs:
+            m = len(orb)
+            pd = [sys.power_sections(wd, pi[u]) for u in orb]
+            for pos in range(m):
+                for t in range(1, m):
+                    u = orb[(pos + t) % m]
+                    cfg_v = space.pair_config(space.orbit_key(st.ka[i], u), space.orbit_key(st.kb[j], pi[u]))
+                    if fin.satisfiable(cfg_v) is None:
+                        continue
+                    h_word = join(join(pc[pos][t], fin.witness_word(cfg_v)), invert_word(pd[pos][t]))
+                    if _conjugates(sys, h_word, wc, wd) is True:
+                        return {(i, j): ("moving", h_word)}
+    return {}
+
+
+def _fixed_edges(st: _Pol0, v: tuple) -> list:
+    """(x, w) per successor w of v at a fixed letter x whose other orbits are finitary."""
+    if v not in st.fixed:
+        rows = st.rows(v)
+        st.fixed[v] = [(x, w) for x, m, _, succs in rows
+                       if m == 1 and all(st.fin.satisfiable(c) is not None for y, _, c, _ in rows if y != x)
+                       for w in succs]
+    return st.fixed[v]
+
+
+def _circuit(st: _Pol0, i: int, j: int) -> dict:
+    """A conjugator whose circuit address is fixed letterwise: a cycle of
+    _fixed_edges back to a vertex of the pair through distinct pairs,
+    sound as off-cycle sections of a bounded automaton are finitary, and
+    exhaustive up to cycles that revisit a pair.  Depth-first on a stack
+    of (letter in, vertex, edge iterator); the first cycle found goes,
+    rotated, to each of its pairs not yet distinguished."""
+    for start in st.graph.pairs[(i, j)]:
+        stack, on_path = [(None, start, iter(_fixed_edges(st, start)))], {start[:2]}
+        while stack:
+            for x, w in stack[-1][2]:
+                if w == start:
+                    cycle = [v for _, v, _ in stack]
+                    letters = [y for y, _, _ in stack[1:]] + [x]
+                    return {v[:2]: ("circuit", cycle[t:] + cycle[:t], letters[t:] + letters[:t])
+                            for t, v in enumerate(cycle) if v[:2] not in st.dist}
+                if w[:2] not in on_path:
+                    on_path.add(w[:2])
+                    stack.append((x, w, iter(_fixed_edges(st, w))))
+                    break
+            else:
+                on_path.discard(stack.pop()[1][:2])
+    return {}
+
+
+# rule(st, i, j) returns the dist entries it adds for an undistinguished pair
+_RULES = (_seed, _moving, _circuit)
+
+
+def _sweep(st: _Pol0) -> dict:
+    """One Gauss-Seidel sweep of the reduction rule in pair order: each
+    undistinguished pair takes its first vertex whose orbit successors
+    are all distinguished, also by this sweep.  Returns what it added."""
+    added: dict = {}
+    for pair, vs in st.graph.pairs.items():
+        if pair not in st.dist:
+            v = next((v for v in vs if all(succs[0][:2] in st.dist for *_, succs in st.rows(v))), None)
+            if v is not None:
+                st.dist[pair] = added[pair] = ("reduction", v[2])
+    return added
+
+
+def _synthesize(st: _Pol0) -> Word:
+    """The input pair's witness word, post-order on a stack of (pair, fills
+    so far): each fill is read once its successor is done, as a later
+    circuit renames its pairs, which it names all before defining any."""
+    sys, fin, memo = st.space.system, st.fin, {}
+    stack = [((0, 0), [])]
+    while stack:
+        pair, got = stack[-1]
+        rule = st.dist[pair]
+        if rule[0] == "reduction":
+            succ = [(x, succs[0][:2]) for x, _, _, succs in st.rows(pair + (rule[1],))]
+            if len(got) < len(succ):
+                x, child = succ[len(got)]
+                if child in memo:
+                    got.append((x, memo[child]))
+                else:
+                    stack.append((child, []))
+                continue
+            [name] = sys.fresh_names(["h"])
+            sys.define(name, rule[1], _pair_sections(st.graph, pair, rule[1], got))
+            memo[pair] = ((name, 1),)
+        elif rule[0] == "finitary":
+            memo[pair] = fin.witness_word(rule[1])
+        elif rule[0] == "moving":
+            memo[pair] = rule[1]
+        else:
+            cycle, letters = rule[1], rule[2]
+            names = sys.fresh_names(["h"] * len(cycle))
+            for t, v in enumerate(cycle):
+                memo[v[:2]] = ((names[t], 1),)
+                nxt = ((names[(t + 1) % len(cycle)], 1),)
+                fills = [(x, nxt if x == letters[t] else fin.witness_word(c)) for x, _, c, _ in st.rows(v)]
+                sys.define(names[t], v[2], _pair_sections(st.graph, v[:2], v[2], fills))
+        stack.pop()
+    return memo[(0, 0)]
+
+
 def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> RestrictedDecision:
     """Conjugacy of bounded automorphisms by a bounded automorphism.
 
@@ -523,25 +669,12 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
     pairs in discovery order, the input pair first, their surviving root
     permutations and their successors.  An Aut verdict of unknown or
     not_conjugate is returned as it is, with the Aut reason.  Otherwise
-    a monotone fixpoint over the pairs runs four rules:
-      seed      -- the pair's own configuration has a finitary conjugator;
-      moving    -- a conjugator lying on a circuit whose address moves
-                   under the left input: then some orbit companion state
-                   is finitary, and the circuit state is recovered from
-                   it in closed form (candidate verified exactly);
-      circuit   -- a conjugator whose circuit address is fixed letterwise:
-                   a cycle over (pair, permutation) vertices through fixed
-                   letters, every off-cycle orbit finitary-satisfiable
-                   (off-cycle sections of a bounded automaton are always
-                   finitary, so this rule is sound and exhaustive for
-                   such conjugators up to cycles visiting distinct pairs);
-      reduction -- some permutation sends every orbit of the pair to an
-                   already-distinguished pair.
-    The rule set follows the structure theory of bounded automata; its
+    a monotone fixpoint over the pairs runs each rule of _RULES (_seed,
+    _moving, _circuit) over every pair in turn, then reduction sweeps
+    (_sweep); tests/test_bounded.py calls each of them on its own.  The
+    rule set follows the structure theory of bounded automata; its
     completeness is not proved here, so every positive answer carries an
     exactly verified conjugator, and negatives report the stable set.
-    The cycle search and the witness synthesis walk explicit stacks,
-    depth-first in orbit order, so no graph is too deep for them.
     """
     _require_bounded(a, b)
     sys = _same_system(a, b)
@@ -550,168 +683,33 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
         return RestrictedDecision("unknown", certificate=aut.reason)
     if not aut.conjugate:
         return RestrictedDecision("not_conjugate", certificate="not conjugate in Aut: %s" % aut.reason)
-    graph = aut.graph
-    os_a, os_b = graph.os_a, graph.os_b
-    space = ConfigSpace.of(sys)
-    fin = FinSat(space, cap=max(4096, cap * 8))
     try:
-        ka = [space.key(g.word) for g in os_a.elements]
-        kb = [space.key(g.word) for g in os_b.elements]
+        st = _Pol0(aut.graph, ConfigSpace.of(sys), cap)
     except _CapExceeded as exc:
         return RestrictedDecision("unknown", certificate="interner cap: %s" % (exc.info,))
-    dist: dict = {}
-
-    def steps(i, j, pi):
-        """Orbit steps of the pair's configuration under pi, each with
-        the surviving vertices of the pair its orbit leads to."""
-        edges = graph.edges[(i, j, pi)]
-        return [(s, edges[s[0]]) for s in space.steps(space.pair_config(ka[i], kb[j]), pi)]
-
-    # seed: finitary conjugator for the pair itself.  Once the seed rule
-    # has passed over every pair, every non-trivial pair configuration is
-    # expanded, so the later rules read cached steps.
-    def seed(i, j):
-        cfg = space.pair_config(ka[i], kb[j])
-        if fin.satisfiable(cfg) is not None:
-            dist[(i, j)] = ("finitary", cfg)
-
-    # moving circuit: the conjugator equals its own section at a letter u
-    # moved by c; the state at (u)c^t is then finitary and determines it
-    def moving(i, j):
-        wc, wd = os_a.elements[i].word, os_b.elements[j].word
-        # the a side does not depend on pi
-        orbs = [(orb, [sys.power_sections(wc, u) for u in orb]) for orb in space.orbits(ka[i]) if len(orb) > 1]
-        for pi in graph.pair_options(i, j):
-            for orb, pc in orbs:
-                m = len(orb)
-                pd = [sys.power_sections(wd, pi[u]) for u in orb]
-                for pos in range(m):
-                    for t in range(1, m):
-                        v = (pos + t) % m
-                        u = orb[v]
-                        cfg_v = space.pair_config(space.orbit_key(ka[i], u), space.orbit_key(kb[j], pi[u]))
-                        if fin.satisfiable(cfg_v) is None:
-                            continue
-                        g_word = fin.witness_word(cfg_v)
-                        h_word = join(join(pc[pos][t], g_word), invert_word(pd[pos][t]))
-                        if _conjugates(sys, h_word, wc, wd) is True:
-                            dist[(i, j)] = ("moving", h_word)
-                            return
-
-    # fixed circuit: cycles through letterwise-fixed successors whose
-    # off-cycle orbits are all finitary-satisfiable
-    edge_cache: dict = {}
-
-    def edges_of(v):
-        """(x, w) per successor vertex w of v = (i, j, pi) at a fixed letter
-        x whose other orbits' configurations are finitary-satisfiable."""
-        if v not in edge_cache:
-            out = steps(*v)
-            edge_cache[v] = [
-                (x, w)
-                for (x, m, _), succs in out
-                if m == 1
-                and all(fin.satisfiable(c) is not None for (y, _, c), _ in out if y != x)
-                for w in succs
-            ]
-        return edge_cache[v]
-
-    def circuit(i, j):
-        # depth-first from each vertex of the pair for a cycle back to it
-        # through vertices of pairwise distinct pairs, on an explicit
-        # stack of (letter in, vertex, edge iterator)
-        for start in graph.pairs[(i, j)]:
-            stack, on_path = [(None, start, iter(edges_of(start)))], {start[:2]}
-            while stack:
-                for x, w in stack[-1][2]:
-                    if w == start:
-                        cycle = [v for _, v, _ in stack]
-                        letters = [y for y, _, _ in stack[1:]] + [x]
-                        for t, (vi, vj, _) in enumerate(cycle):
-                            if (vi, vj) not in dist:
-                                dist[(vi, vj)] = ("circuit", cycle[t:] + cycle[:t], letters[t:] + letters[:t])
-                        return
-                    if w[:2] not in on_path:
-                        on_path.add(w[:2])
-                        stack.append((x, w, iter(edges_of(w))))
-                        break
-                else:
-                    on_path.discard(stack.pop()[1][:2])
-
-    # the input pair sits first; once it is distinguished the remaining
-    # pairs are irrelevant, since synthesis only follows rule references
-    # downward
-    for rule in (seed, moving, circuit):
-        for i, j in graph.pairs:
-            if (0, 0) in dist:
+    # the input pair sits first; once it is distinguished the others are
+    # irrelevant, since synthesis only follows rule references downward
+    for rule in _RULES:
+        for i, j in st.graph.pairs:
+            if (0, 0) in st.dist:
                 break
-            if (i, j) not in dist:
-                rule(i, j)
-        if fin.status != "complete":
-            return RestrictedDecision("unknown", certificate=fin.status)
-
-    # reduction closure: Gauss-Seidel sweeps, each pair taking its first
-    # vertex whose orbit successors are all distinguished
-    changed = True
-    while changed and (0, 0) not in dist:
-        changed = False
-        for pair, vs in graph.pairs.items():
-            if pair not in dist:
-                v = next((v for v in vs if all(succs[0][:2] in dist for succs in graph.edges[v].values())), None)
-                if v is not None:
-                    dist[pair] = ("reduction", v[2])
-                    changed = True
-
-    if (0, 0) not in dist:
-        return RestrictedDecision(
-            "not_conjugate",
-            certificate="fixpoint distinguished %d of %d orbit-power pairs without reaching the input pair"
-            % (len(dist), len(graph.pairs)),
-        )
-
-    # witness synthesis, post-order on an explicit stack of (pair, fills
-    # so far): a reduction pair's successors in orbit order, each fill read
-    # once its successor is done, as a later circuit renames its pairs
-    synth_memo: dict = {}
-    stack = [((0, 0), [])]
-    while stack:
-        pair, got = stack[-1]
-        rule = dist[pair]
-        if rule[0] == "reduction":
-            succ = [(x, succs[0][:2]) for x, succs in graph.edges[pair + (rule[1],)].items()]
-            if len(got) < len(succ):
-                x, child = succ[len(got)]
-                if child in synth_memo:
-                    got.append((x, synth_memo[child]))
-                else:
-                    stack.append((child, []))
-                continue
-            [name] = sys.fresh_names(["h"])
-            sys.define(name, rule[1], _pair_sections(graph, pair, rule[1], got))
-            synth_memo[pair] = ((name, 1),)
-        elif rule[0] == "finitary":
-            synth_memo[pair] = fin.witness_word(rule[1])
-        elif rule[0] == "moving":
-            synth_memo[pair] = rule[1]
-        else:  # circuit: every pair of the cycle is named before any is defined
-            cycle, letters = rule[1], rule[2]
-            names = sys.fresh_names(["h"] * len(cycle))
-            for t, (vi, vj, vpi) in enumerate(cycle):
-                synth_memo[(vi, vj)] = ((names[t], 1),)
-                nxt = ((names[(t + 1) % len(cycle)], 1),)
-                fills = [(x, nxt if x == letters[t] else fin.witness_word(c))
-                         for (x, _, c), _ in steps(vi, vj, vpi)]
-                sys.define(names[t], vpi, _pair_sections(graph, (vi, vj), vpi, fills))
-        stack.pop()
-
-    h = Element(sys, synth_memo[(0, 0)])
+            if (i, j) not in st.dist:
+                st.dist.update(rule(st, i, j))
+        if st.fin.status != "complete":
+            return RestrictedDecision("unknown", certificate=st.fin.status)
+    while (0, 0) not in st.dist and _sweep(st):
+        pass
+    if (0, 0) not in st.dist:
+        return RestrictedDecision("not_conjugate", certificate="fixpoint distinguished %d of %d orbit-power "
+                                  "pairs without reaching the input pair" % (len(st.dist), len(st.graph.pairs)))
+    h = Element(sys, _synthesize(st))
     sys.validate()
     check = _conjugates(sys, h.word, a.word, b.word)
     if check is not True:
         log.error("bounded witness failed verification for (%s, %s): %r", a, b, check)
         return RestrictedDecision("unknown", certificate="witness verification failed")
-    cls = "finitary" if dist[(0, 0)][0] == "finitary" else "bounded"
-    note = "rule %s" % dist[(0, 0)][0]
+    cls = "finitary" if st.dist[(0, 0)][0] == "finitary" else "bounded"
+    note = "rule %s" % st.dist[(0, 0)][0]
     wcls = polynomial_degree(h)
     if not wcls.bounded:
         log.warning("bounded witness classified as %s", wcls)

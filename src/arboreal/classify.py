@@ -210,13 +210,15 @@ class OrbitSignalizer:
     """Closure of an element under taking orbit-power sections.
 
     elements[0] is the input; edges hold (source index, orbit size m,
-    target index, anchor letter).  status is "complete" or "exceeded".
+    target index, anchor letter).  status is "complete" or "exceeded",
+    and cap is the element cap the closure ran with.
     """
 
     elements: list
     edges: list
     status: str
     interner: Interner
+    cap: int
 
     @property
     def complete(self) -> bool:
@@ -236,11 +238,11 @@ def orbit_signalizer(g: Element, cap: int = 512, letters: str = "least") -> Orbi
     sys = g.system
     intern = Interner(sys)
     if isinstance(intern.key(g.word), Exceeded):
-        return OrbitSignalizer([g], [], "exceeded", intern)
+        return OrbitSignalizer([g], [], "exceeded", intern, cap)
     edges = []
 
     def closure(status):
-        return OrbitSignalizer([Element._of(sys, w) for w in intern.words], edges, status, intern)
+        return OrbitSignalizer([Element._of(sys, w) for w in intern.words], edges, status, intern, cap)
 
     pos = 0
     while pos < len(intern):

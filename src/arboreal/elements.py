@@ -242,9 +242,9 @@ def _refute(eq: dict, merged: list, up: list, i: int) -> bool:
     return False
 
 
-def is_trivial(g: Element, budget: int = EQUALITY_BUDGET):
+def is_trivial(g: Element):
     """True / False / Exceeded: g == e, decided as equal decides it."""
-    return _equal_words(g.system, g.word, EMPTY, budget)
+    return _equal_words(g.system, g.word, EMPTY, EQUALITY_BUDGET)
 
 
 def _equal_words(sys: FRSystem, u: Word, v: Word, budget: int):

@@ -42,7 +42,7 @@ def order(a: Element, cap: int = 512) -> OrderResult:
 
 def order_from_graph(graph: OrbitSignalizer) -> OrderResult:
     if not graph.complete:
-        return OrderResult("unknown", reason="closure exceeded cap of %d elements" % (len(graph.elements) - 1))
+        return OrderResult("unknown", reason="closure exceeded cap of %d elements" % graph.cap)
     n = len(graph.elements)
     out: list[list[tuple]] = [[] for _ in range(n)]
     for e in graph.edges:

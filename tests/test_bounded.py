@@ -30,10 +30,11 @@ from arboreal import (
     verify_conjugator,
 )
 from arboreal import elements
-from arboreal.bounded import ConfigSpace, FinSat
+from arboreal.bounded import ConfigSpace, FinSat, _Pol0, _circuit, _conjugates, _moving, _seed, _sweep
+from arboreal.conjugacy import ConjGraph
 from arboreal.elements import Exceeded
 from arboreal.perms import orbits
-from arboreal.system import merge_into, parse_system, reduce_word
+from arboreal.system import format_word, merge_into, parse_system, reduce_word
 
 from conftest import CARRY, ODOMETER, TWISTED, ZOO, deep_bounded, deep_chains, one, recursion_headroom, swap_chains
 from test_identity_corpus import load as load_corpus
@@ -332,6 +333,33 @@ def test_shared_space_gives_the_answers_of_fresh_spaces():
     assert {tag for tag, *_ in shared} == {"conjugate", "not_conjugate"}
 
 
+def pol0_records(history, kinds=("planted", "negative")):
+    """Pol(0) tag, class, certificate and minimized witness on the pairs
+    of kinds of the whole identity corpus, each after the deciders of
+    history ran on the same pair."""
+    out = {}
+    for kind, d, s, a, b, _ in load_corpus().pairs(150, 40):
+        if kind in kinds:
+            for decide in history:
+                decide(a, b)
+            dec = conjugate_in_pol0_cyclic(a, b)
+            out[kind, d, s] = (dec.tag, dec.cls, dec.certificate, dec.conjugator and minimize(dec.conjugator))
+    return out
+
+
+def test_pol0_answers_do_not_depend_on_earlier_queries():
+    # a fresh system per pair against systems on which Aut and Pol(-1)
+    # ran first, in both orders, and on which the seed's planted pair
+    # ran before its negative: the union-find, the equality cache, the
+    # signatures, the space and the defined symbols all carry over, and
+    # only symbol names may move
+    fresh = {**pol0_records((), ("planted",)), **pol0_records((), ("negative",))}
+    assert len(fresh) == 380
+    assert sum(tag == "conjugate" for tag, *_ in fresh.values()) == 190
+    for history in ((conjugate_in_aut, conjugate_in_pol_minus1), (conjugate_in_pol_minus1, conjugate_in_aut)):
+        assert pol0_records(history) == fresh
+
+
 def test_deciders_on_one_system_share_its_space():
     planted, negative = itertools.islice(load_corpus().pairs(1, 0), 2)
     (_, _, _, a, b, _), (kind, _, _, a2, u, _) = planted, negative
@@ -601,6 +629,131 @@ def test_finitary_universe_cap_counts_distinct_configurations():
             assert (exact.univ, exact.depth, exact_answers) == (full.univ, full.depth, answers)
             short, _ = finsat_run(space, roots, size - 1)
             assert short.status == "exceeded: finitary universe cap %d" % (size - 1)
+
+
+class Pol0Stub:
+    """A stand-in for bounded._Pol0 over hand-built vertices, with no
+    FRSystem: rows maps each vertex (i, j, pi) to its rows (letter, orbit
+    size, configuration, successor vertices), configs maps each pair to
+    its configuration, and configurations are the nodes of a GraphSpace.
+    The pairs are listed in the order rows first names them."""
+
+    def __init__(self, space, rows, configs=None):
+        pairs = {}
+        for v in rows:
+            pairs.setdefault(v[:2], []).append(v)
+        self.graph = ConjGraph((0, 0), None, pairs=pairs)
+        self.fin = FinSat(space)
+        self.dist, self.fixed, self._rows, self._configs = {}, {}, rows, configs or {}
+
+    def config(self, i, j):
+        return self._configs[(i, j)]
+
+    def rows(self, v):
+        return self._rows[v]
+
+
+# GraphSpace nodes of the stand-ins: T trivial, U unsatisfiable (no
+# conjugator), D of finitary depth 1 (one branch, into T)
+T, U, D = 0, 1, 2
+NODES = GraphSpace([[[]], [], [[T]]], {T})
+
+
+def test_seed_takes_finitary_pair_configurations():
+    st = Pol0Stub(NODES, {}, {(0, 0): T, (1, 1): U, (2, 2): D})
+    assert _seed(st, 0, 0) == {(0, 0): ("finitary", T)}
+    assert _seed(st, 1, 1) == {}
+    assert _seed(st, 2, 2) == {(2, 2): ("finitary", D)}
+    assert st.fin.depth == {T: 0, D: 1} and st.dist == {}
+
+
+def test_circuit_closes_a_cycle_through_fixed_letters():
+    # A -> B at letter 0 and back; the letter-1 edges lead off the
+    # cycle; every pair on the cycle not yet distinguished gets the
+    # cycle rotated to start at it
+    A, B, C = (0, 0, "p"), (1, 1, "p"), (2, 2, "p")
+    rows = {A: [(0, 1, T, [B]), (1, 1, D, [C])], B: [(0, 1, T, [A]), (1, 1, T, [C])], C: [(0, 1, T, [C])]}
+    st = Pol0Stub(NODES, rows)
+    assert _circuit(st, 0, 0) == {(0, 0): ("circuit", [A, B], [0, 0]), (1, 1): ("circuit", [B, A], [0, 0])}
+    st.dist[(0, 0)] = ("finitary", T)
+    assert _circuit(st, 1, 1) == {(1, 1): ("circuit", [B, A], [0, 0])}
+
+
+def test_circuit_needs_fixed_letters_and_finitary_other_orbits():
+    # B's letter-0 edge back to A is dropped because B's other orbit is
+    # unsatisfiable, and C's because its letters are swapped (moving)
+    A, B, C = (0, 0, "p"), (1, 1, "p"), (2, 2, "p")
+    rows = {A: [(0, 1, T, [B]), (1, 1, T, [C])], B: [(0, 1, T, [A]), (1, 1, U, [C])], C: [(0, 2, T, [A])]}
+    assert _circuit(Pol0Stub(NODES, rows), 0, 0) == {}
+    rows[B] = [(0, 1, T, [A]), (1, 1, D, [C])]
+    assert _circuit(Pol0Stub(NODES, rows), 0, 0)[(0, 0)] == ("circuit", [A, B], [0, 0])
+
+
+def test_circuit_misses_a_cycle_that_revisits_a_pair():
+    # the only cycle through A passes pair (0, 0) again as A2, under
+    # another permutation; the search walks vertices of distinct pairs
+    # only, so it finds none (the gap of ROADMAP item 5)
+    A, A2, B = (0, 0, "p"), (0, 0, "q"), (1, 1, "p")
+    rows = {A: [(0, 1, T, [B])], A2: [(0, 1, T, [A])], B: [(0, 1, T, [A2])]}
+    st = Pol0Stub(NODES, rows)
+    assert _circuit(st, 0, 0) == {}
+    assert _circuit(st, 1, 1) == {}
+
+
+def test_sweeps_take_the_first_ready_vertex_gauss_seidel():
+    # pair P comes before Q, and Q before W; R is distinguished and Z
+    # never is.  The first sweep adds Q and then W, which reads Q; P
+    # waits for the second sweep and takes P2, its first ready vertex,
+    # as P3 is ready too; the third sweep adds nothing
+    P1, P2, P3 = (0, 0, "p1"), (0, 0, "p2"), (0, 0, "p3")
+    Q, W, R, Z = (1, 1, "q"), (2, 2, "w"), (3, 3, "r"), (4, 4, "z")
+    rows = {
+        P1: [(0, 1, T, [Q]), (1, 1, T, [Z])], P2: [(0, 2, U, [Q])], P3: [(0, 1, T, [R]), (1, 1, T, [Q])],
+        Q: [(0, 2, U, [R])], W: [(0, 1, U, [Q]), (1, 1, U, [R])], R: [(0, 2, T, [Z])], Z: [(0, 2, T, [Z])],
+    }
+    st = Pol0Stub(NODES, rows)
+    st.dist[(3, 3)] = ("finitary", T)
+    assert _sweep(st) == {(1, 1): ("reduction", "q"), (2, 2): ("reduction", "w")}
+    assert _sweep(st) == {(0, 0): ("reduction", "p2")}
+    assert _sweep(st) == {}
+    assert st.dist == {(3, 3): ("finitary", T), (1, 1): ("reduction", "q"), (2, 2): ("reduction", "w"),
+                       (0, 0): ("reduction", "p2")}
+
+
+def pol0_state(a, b):
+    """The _Pol0 state of the pair, over its pruned Aut graph."""
+    return _Pol0(conjugate_in_aut(a, b).graph, ConfigSpace.of(a.system), 512)
+
+
+def test_moving_builds_its_candidate_from_the_closure_words():
+    # on the golden "rule moving" pair the first exact candidate is the
+    # decider's witness word; on planted seed 73 after Pol(-1) the space
+    # spells b otherwise than b's closure does, and the candidate keeps
+    # the closure's spelling; on the "rule finitary" pair all four
+    # candidates fail their exact check and the rule adds nothing
+    for seed, text in ((11, "f1*f*f1_2*f1^-1*c1_2"), (73, "f2*f2*f1^-1*f2^-1*f2^-1*f1_2^-1*f1_2^-1*f2*f2")):
+        a, b = planted_pair(seed, 2, 4, 3)
+        if seed == 73:
+            assert conjugate_in_pol_minus1(a, b).conjugate
+        st = pol0_state(a, b)
+        [(pair, (rule, word))] = _moving(st, 0, 0).items()
+        assert (pair, rule, format_word(word)) == ((0, 0), "moving", text)
+        assert _conjugates(a.system, word, a.word, b.word) is True
+    assert st.space.word(st.kb[0]) != st.graph.os_b.elements[0].word
+    a, b = planted_pair(0, 2, 4, 3)
+    assert _moving(pol0_state(a, b), 0, 0) == {}
+
+
+def test_rows_read_the_steps_and_the_surviving_successors():
+    # rows(v) joins the space's orbit steps of the pair configuration to
+    # the graph's successor vertices at each orbit letter
+    a, b = planted_pair(16, 2, 4, 3)
+    st = pol0_state(a, b)
+    for v in st.graph.vertices:
+        rows = st.rows(v)
+        assert [(x, m, c) for x, m, c, _ in rows] == list(st.space.steps(st.config(*v[:2]), v[2]))
+        assert {x: succs for x, *_, succs in rows} == st.graph.edges[v]
+        assert st.rows(v) is rows
 
 
 def test_pol_minus1_stops_once_the_root_depth_is_settled():

@@ -59,11 +59,17 @@ def test_order_from_a_prebuilt_graph(carry):
         assert (direct.tag, direct.value) == (via.tag, via.value)
 
 
-def test_small_cap_reports_unknown(branch):
+def test_small_cap_reports_unknown(branch, carry):
+    # the reason names the cap the closure ran with; at cap 0 it once
+    # counted the elements found less one, which read 1 where the first
+    # orbit-power section was new
     _, b = branch
-    res = order(b, 50)
-    assert res.tag == "unknown"
-    assert res.reason
+    _, p, _ = carry
+    for g, cap in ((b, 50), (b, 0), (p, 0)):
+        res = order(g, cap)
+        assert res.tag == "unknown"
+        assert res.reason == "closure exceeded cap of %d elements" % cap
+        assert order_graph(g, cap).cap == cap
 
 
 def test_finite_orders_match_truncations(carry):
