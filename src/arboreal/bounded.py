@@ -232,9 +232,10 @@ class ConfigClosure:
     Configurations are ids of space.  universe maps every configuration
     explored to its branches, one per root conjugator pi, each the tuple
     of orbit steps (letter, size, configuration).  viable is the
-    survival fixpoint (graphs.surviving) over configurations and branch
-    nodes (cfg, pi): a branch needs every induced configuration, and a
-    configuration needs one of its branches.  configs lists the viable
+    survival fixpoint (graphs.surviving) over the configurations, each
+    branch one option of its configuration: a configuration lives iff
+    one of its branches induces only live configurations, and a step out
+    of the universe never lives.  configs lists the viable
     configurations reachable from the root through surviving branches,
     in breadth-first order.
     """
@@ -274,18 +275,15 @@ def configurations(a: Element, b: Element, cap: int = 512) -> ConfigClosure:
 
 def _closure(space: ConfigSpace, root: int, universe: dict) -> ConfigClosure:
     """The ConfigClosure of a universe closed under successors."""
-    # a configuration with no conjugator has one empty group and dies
-    groups: dict = {}
-    for cfg, branches in universe.items():
-        groups[cfg] = [[(cfg, pi) for pi in branches]]
-        for pi, steps in branches.items():
-            groups[(cfg, pi)] = [(c,) for _, _, c in steps]
-    alive = surviving(groups)
-    viable = {cfg for cfg in universe if cfg in alive}
+    # one option per branch; a step out of the universe names the dead last node
+    ids = {cfg: n for n, cfg in enumerate(universe)}
+    flags = surviving([[[ids.get(c, len(ids)) for _, _, c in steps] for steps in branches.values()]
+                       for branches in universe.values()] + [[]])
+    viable = {cfg for cfg, live in zip(universe, flags) if True in live}
     configs: list = []
     if root in viable:
         configs = breadth_first(root, lambda cfg: (
-            c for pi, steps in universe[cfg].items() if (cfg, pi) in alive for _, _, c in steps
+            c for steps, f in zip(universe[cfg].values(), flags[ids[cfg]]) if f for _, _, c in steps
         ))
     return ConfigClosure(space, root, configs, universe, viable, "complete")
 

@@ -5,19 +5,22 @@ input with one of the target: a closure pair (i, j) of the two
 orbit-power closures, or, for simultaneous conjugacy, a 1-tuple (tk,)
 of a tuple key of interned section-word pairs.  A vertex is a node with
 a root conjugator candidate pi appended.  One engine, `_prune`,
-discovers the nodes reachable from the input's node and keeps a vertex
-only if every orbit of its first component can be followed to a
-surviving vertex; nodes that the input cannot reach never affect the
-answer.  One walk, `_synthesize`, then reads conjugators off a subgraph
-that keeps one permutation per surviving node; the recursion for their
-sections never needs backtracking because pruning leaves edges into
-every surviving successor.
+numbers the nodes reachable from the input's node as it finds them,
+and keeps a vertex, one option of its node, only if every orbit of its
+first component can be followed to a surviving vertex; nodes that the
+input cannot reach never affect the answer.  One walk, `_synthesize`,
+then reads conjugators off a subgraph that keeps one permutation per
+surviving node; the recursion for their sections never needs
+backtracking because pruning leaves edges into every surviving
+successor.
 
 Simultaneous conjugacy of tuples runs the same game with Schreier
 generators of the joint stabilizer of each orbit, which is what makes
-constraints between different coordinates visible.  A tuple vertex's
-successor at a joint orbit depends on its root conjugator only through
-the image of the orbit's least letter, so it is built once per image.
+constraints between different coordinates visible.  Each is sectioned
+factor by factor from the sections of the generator words.  A tuple
+vertex's successor at a joint orbit depends on its root conjugator
+only through the image of the orbit's least letter, so it is built
+once per image.
 """
 
 from __future__ import annotations
@@ -61,13 +64,14 @@ class ConjGraph:
     """Surviving vertices of a conjugator graph, discovered from root.
 
     A node is a closure pair (i, j) or a 1-tuple (tk,) of a tuple key,
-    and a vertex is a node with a root conjugator pi appended, so no
-    node equals a vertex.  edges[v] maps each orbit letter of v to the
-    surviving vertices of its successor node; roots are the surviving
-    vertices of root.  pairs maps each node with a surviving vertex,
-    in discovery order, to those vertices in conjugator order, and the
-    edges share these lists.  os_a and os_b are the two orbit-power
-    closures of a pair graph, None in a tuple graph.
+    and a vertex, a node with a root conjugator pi appended, is one
+    option of its node: it survives iff all its successor nodes do.
+    edges[v] maps each orbit letter of v to the surviving vertices of
+    its successor node; roots are the surviving vertices of root.
+    pairs maps each node with a surviving vertex, in discovery order,
+    to those vertices in conjugator order, and the edges share these
+    lists.  os_a and os_b are the two orbit-power closures of a pair
+    graph, None in a tuple graph.
     """
 
     root: tuple
@@ -95,37 +99,37 @@ def _prune(graph: ConjGraph, expand, cap: int | None = None) -> ConjGraph:
     expand(node) is called once per node, in breadth-first order, and
     returns the node's vertices in conjugator order, its orbit letters
     and, per vertex, its successor node at each letter; or None when a
-    word comparison runs out of budget.  graphs.surviving runs over
-    vertices and nodes: a vertex has one single-member group per
-    letter, holding its successor node, and a node has one group, its
-    vertices.  Status "exceeded" (and an empty graph) when expand gives
-    up or the vertices found, roots included, number more than cap.
+    word comparison runs out of budget.  Nodes are numbered as they are
+    discovered, and each vertex is one option of its node for
+    graphs.surviving: the ids of its successor nodes.  Status "exceeded"
+    (and an empty graph) when expand gives up or the vertices found,
+    roots included, number more than cap.
     """
+    ids = {graph.root: 0}
     order = [graph.root]
-    seen = {graph.root}
-    succ: dict = {}
-    groups: dict = {}
-    found = 0
+    found = []  # per node: (vertices, letters, options)
+    total = 0
     for node in order:
         out = expand(node)
-        found += len(out[0]) if out else 0
-        if out is None or (cap is not None and found > cap):
+        total += len(out[0]) if out else 0
+        if out is None or (cap is not None and total > cap):
             graph.status = "exceeded"
             return graph
         vertices, letters, rows = out
-        groups[node] = (vertices,)
-        for v, row in zip(vertices, rows):
-            succ[v] = (letters, row)
-            groups[v] = [(s,) for s in row]
+        for row in rows:
             for s in row:
-                if s not in seen:
-                    seen.add(s)
+                if s not in ids:
+                    ids[s] = len(order)
                     order.append(s)
-    alive = surviving(groups)
-    graph.pairs = {n: [v for v in groups[n][0] if v in alive] for n in order if n in alive}
-    graph.vertices = [v for live in graph.pairs.values() for v in live]
-    graph.edges = {v: {x: graph.pairs[s] for x, s in zip(*succ[v])} for v in graph.vertices}
-    graph.roots = list(graph.pairs.get(graph.root, ()))
+        found.append((vertices, letters, [[ids[s] for s in row] for row in rows]))
+    flags = surviving([options for _, _, options in found])
+    graph.pairs = pairs = {node: [v for v, f in zip(vertices, live) if f]
+                           for node, (vertices, _, _), live in zip(order, found, flags) if True in live}
+    graph.vertices = [v for live in pairs.values() for v in live]
+    graph.edges = {v: {x: pairs[order[n]] for x, n in zip(letters, opt)}
+                   for (vertices, letters, options), live in zip(found, flags)
+                   for v, opt, f in zip(vertices, options, live) if f}
+    graph.roots = list(pairs.get(graph.root, ()))
     return graph
 
 
@@ -221,41 +225,55 @@ def _joint_orbits(perms: list[Perm], degree: int):
     return out
 
 
-def _eval_index_word(words: list[Word], iw) -> Word:
-    out: Word = EMPTY
-    for t, exp in iw:
-        out = join(out, words[t] if exp == 1 else invert_word(words[t]))
-    return out
+def _index_sections(sys: FRSystem, words: list[Word]):
+    """section(iw, x): the section at letter x of the index word iw over
+    words, joined piecewise from the cached sections and root
+    permutations of words by (g*h)|_x = g|_x * h|_(x^g) and
+    g^-1|_x = (g|_(x^(g^-1)))^-1: the product word is never formed."""
+    perms = [sys.root_perm(w) for w in words]
+
+    def section(iw, x):
+        out: Word = EMPTY
+        for t, exp in iw:
+            if exp == 1:
+                out = join(out, sys.section(words[t], x))
+                x = perms[t][x]
+            else:
+                x = perms[t].index(x)
+                out = join(out, invert_word(sys.section(words[t], x)))
+        return out
+
+    return section
 
 
-def _schreier_words(sys, a_words, b_words, perms_a, orbit_info):
-    """The Schreier words of one joint orbit, evaluated on both sides.
+def _schreier_words(a_section, perms_a, orbit_info):
+    """The Schreier words of one joint orbit with their a-side sections.
 
     For every orbit letter y and every generator index t, the Schreier
     word t_y * g_t * t_{(y)g_t}^-1 stabilizes the base letter y0.  Each
-    comes as its a-side evaluation sectioned at y0 and its whole b-side
-    evaluation, which is sectioned at the base image of a conjugator.
-    Tree edges reduce to the empty word and are skipped.
+    comes as its a-side section at y0 and its index word, which is
+    sectioned on the b-side at the base image of a conjugator.  Tree
+    edges reduce to the empty word and are skipped.
     """
     y0, orb, words = orbit_info
     out = []
     for y in orb:
-        for t in range(len(a_words)):
+        for t in range(len(perms_a)):
             iw = join(join(words[y], ((t, 1),)), invert_word(words[perms_a[t][y]]))
             if iw:
-                out.append((sys.section(_eval_index_word(a_words, iw), y0), _eval_index_word(b_words, iw)))
+                out.append((a_section(iw, y0), iw))
     return out
 
 
-def _constraint_pairs(sys, schreier, z):
+def _constraint_pairs(sys, schreier, b_section, z):
     """Distinct constraint pairs of one joint orbit for the conjugators
     that map its base letter to z: the a-side of each Schreier word and
-    its b-side sectioned at z, which the section of the conjugator at
-    the base letter must conjugate into each other."""
+    its b-side section at z, which the section of the conjugator at the
+    base letter must conjugate into each other."""
     pairs = []
     seen = set()
-    for wa, ub in schreier:
-        wb = sys.section(ub, z)
+    for wa, iw in schreier:
+        wb = b_section(iw, z)
         key = (sys.find(wa), sys.find(wb))
         if key not in seen:
             seen.add(key)
@@ -321,7 +339,8 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> ConjGraph:
             if not opts:
                 return [], [], []
         joint = _joint_orbits(perms_a, sys.degree)
-        schreier = [_schreier_words(sys, a_words, b_words, perms_a, info) for info in joint]
+        a_section, b_section = _index_sections(sys, a_words), _index_sections(sys, b_words)
+        schreier = [_schreier_words(a_section, perms_a, info) for info in joint]
         built: dict = {}  # (orbit index, base image) -> tuple key
         rows = []
         for pi in opts:
@@ -329,7 +348,7 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> ConjGraph:
             for n, (y0, _, _) in enumerate(joint):
                 at = (n, pi[y0])
                 if at not in built:
-                    built[at] = tuple_key(_constraint_pairs(sys, schreier[n], pi[y0]))
+                    built[at] = tuple_key(_constraint_pairs(sys, schreier[n], b_section, pi[y0]))
                 row.append(built[at])
             if None in row:
                 return None
@@ -394,17 +413,13 @@ def _tuple_sections(graph: ConjGraph, node, pi: Perm, fills) -> list:
     """
     sys = graph.interner.system
     a_words, b_words, perms_a = _tuple_words(graph, node)
+    a_section, b_section = _index_sections(sys, a_words), _index_sections(sys, b_words)
     sections: list = [EMPTY] * sys.degree
     for (y0, orb, words), (_, wit) in zip(_joint_orbits(perms_a, sys.degree), fills):
         sections[y0] = wit
-        for y in orb:
-            if y == y0:
-                continue
-            ua = _eval_index_word(a_words, words[y])
-            ub = _eval_index_word(b_words, words[y])
-            lhs = invert_word(sys.section(ua, y0))
-            rhs = sys.section(ub, pi[y0])
-            sections[sys.root_perm(ua)[y0]] = join(join(lhs, wit), rhs)
+        for y in orb[1:]:
+            lhs = invert_word(a_section(words[y], y0))
+            sections[y] = join(join(lhs, wit), b_section(words[y], pi[y0]))
     return sections
 
 

@@ -1,39 +1,46 @@
 """Graph algorithms shared by the deciders, iterative throughout (deep
 graphs, no recursion).
 
-`surviving` is the one survival fixpoint: the conjugator graphs, the
-simultaneous tuple graphs and the configuration closures all prune by
-it.  `breadth_first` walks the configuration closures, both while they
-are built and when their survivors are listed, and the pruned graphs
-in conjugator synthesis: `basic_conjugator`, `all_basic_conjugators`
-and `sim_basic_conjugator`.
-`strongly_connected_components` serves the order graphs and the circuit
-analysis of classification.
+`surviving` is the one survival fixpoint, a worklist linear in its
+integer option table: the conjugator graphs, the simultaneous tuple
+graphs and the configuration closures all prune by it.  `breadth_first`
+walks the configuration closures, both while they are built and when
+their survivors are listed, and the pruned graphs in conjugator
+synthesis: `basic_conjugator`, `all_basic_conjugators` and
+`sim_basic_conjugator`.  `strongly_connected_components` serves the
+order graphs and the circuit analysis of classification.
 """
 
 from __future__ import annotations
 
 
-def surviving(groups) -> set:
-    """Greatest fixpoint of survival: a node survives iff every one of
-    its groups has a surviving member.
+def surviving(options) -> list:
+    """Greatest fixpoint of survival over an option table: a node lives
+    iff one of its options names only live nodes.
 
-    groups maps each node to a re-iterable collection of groups, each a
-    re-iterable collection of nodes.  A node with an empty group dies, a
-    node with no groups survives, and a member that is not a key of
-    groups never survives.  Sweeps repeat until nothing dies.
+    options[v] lists the options of node v, each a list of node ids in
+    range(len(options)); a node with no option dies.  Returns, per node,
+    one flag per option: whether it names only live nodes.  Counting
+    propagation: each node keeps its count of live options and the list
+    of options that name it, and dies once, when its count reaches 0,
+    so the work is linear in the size of the table.
     """
-    alive = set(groups)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(alive):
-            for group in groups[v]:
-                if alive.isdisjoint(group):
-                    alive.discard(v)
-                    changed = True
-                    break
-    return alive
+    flags = [[True] * len(opts) for opts in options]
+    live = [len(opts) for opts in options]
+    users: list = [[] for _ in options]
+    for v, opts in enumerate(options):
+        for k, opt in enumerate(opts):
+            for u in opt:
+                users[u].append((v, k))
+    dead = [v for v, n in enumerate(live) if not n]
+    for u in dead:  # grows while it is walked
+        for v, k in users[u]:
+            if flags[v][k]:
+                flags[v][k] = False
+                live[v] -= 1
+                if not live[v]:
+                    dead.append(v)
+    return flags
 
 
 def breadth_first(root, successors) -> list:

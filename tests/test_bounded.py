@@ -30,7 +30,7 @@ from arboreal import (
     verify_conjugator,
 )
 from arboreal import elements
-from arboreal.bounded import ConfigSpace, FinSat, _Pol0, _circuit, _conjugates, _moving, _seed, _sweep
+from arboreal.bounded import ConfigSpace, FinSat, _Pol0, _circuit, _closure, _conjugates, _moving, _seed, _sweep
 from arboreal.conjugacy import ConjGraph
 from arboreal.elements import Exceeded
 from arboreal.perms import orbits
@@ -113,6 +113,17 @@ def test_carry_pair_closure_forces_the_swap(carry):
     closure = configurations(p, q)
     assert len(closure.configs) == 3
     assert closure.viable_cpi(closure.root) == (SWAP,)
+
+
+def test_a_step_out_of_the_universe_never_survives(carry):
+    _, p, q = carry
+    closure = configurations(p, q)
+    root = closure.root
+    cut = {root: closure.universe[root]}
+    assert all(any(c != root for _, _, c in steps) for steps in cut[root].values())
+    pruned = _closure(closure.space, root, cut)
+    assert pruned.viable == set() and pruned.configs == []
+    assert _closure(closure.space, root, closure.universe).configs == closure.configs
 
 
 def test_carry_pair_shares_one_matrix(carry):

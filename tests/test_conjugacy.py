@@ -26,12 +26,12 @@ from arboreal import (
 )
 from arboreal import conjugacy
 from arboreal.classify import orbit_signalizer
-from arboreal.conjugacy import _eval_index_word, _joint_orbits
+from arboreal.conjugacy import _joint_orbits
 from arboreal.elements import Interner
 from arboreal.graphs import surviving
 from arboreal.oracle import random_bounded
 from arboreal.perms import orbits
-from arboreal.system import invert_word, merge_into, parse_system, reduce_word
+from arboreal.system import EMPTY, invert_word, join, merge_into, parse_system, reduce_word
 
 from conftest import BRANCH, CARRY, TWISTED, one
 from test_identity_corpus import load as load_corpus
@@ -111,24 +111,36 @@ def test_every_surviving_vertex_keeps_total_edges():
 
 
 def test_survival_fixpoint_on_hand_made_graphs():
-    # each node has one group, its only successor; the chain dies from its
-    # far end whatever order a sweep visits the nodes in
-    chain = {k: [[k + 1]] for k in range(40)}
-    chain[40] = [[]]
-    assert surviving(chain) == set()
-    # an empty group kills, no group at all survives, a non-node never survives
-    assert surviving({"x": [], "y": [[]], "z": [["w"]]}) == {"x"}
-    # a cycle survives, and so does a node that picks it over a dead member
-    cyc = {"p": [["q"]], "q": [["p", "dead"]], "r": [["dead", "q"], ["p"]], "dead": [[]]}
-    assert surviving(cyc) == {"p", "q", "r"}
-    # the configuration form: a node needs one live branch, a branch every step
-    branches = {
-        "A": [[("A", 0), ("A", 1)]], ("A", 0): [("B",)], ("A", 1): [("C",), ("A",)],
-        "B": [[("B", 0)]], ("B", 0): [("A",), ("D",)],
-        "C": [[("C", 0)]], ("C", 0): [("C",)],
-        "D": [[]],
-    }
-    assert surviving(branches) == {"A", ("A", 1), "C", ("C", 0)}
+    # each node has one option, its only successor; the chain dies from
+    # its far end, a node with no option
+    chain = [[[k + 1]] for k in range(40)] + [[]]
+    assert surviving(chain) == [[False]] * 40 + [[]]
+    # no option dies, an empty option lives, an option naming a dead node dies
+    assert surviving([[], [[]], [[0]]]) == [[], [True], [False]]
+    # a cycle survives, and so does a node that takes it over a dead option
+    p, q, r, dead = range(4)
+    assert surviving([[[q]], [[p]], [[dead], [p]], []]) == [[True], [True], [False, True], []]
+    # the configuration form: one option per branch, naming its steps
+    a, b, c, d = range(4)
+    assert surviving([[[b], [c, a]], [[a, d]], [[c]], []]) == [[False, True], [False], [True], []]
+
+
+def test_survival_fixpoint_counts_an_option_once_per_death():
+    # an option naming a dead node twice dies once: the node keeps its
+    # other option
+    assert surviving([[[1, 1], [2]], [], [[2]], [[1, 1]]]) == [[False, True], [], [True], [False]]
+    assert surviving([[[0, 0, 1]], [[1, 0]]]) == [[True], [True]]
+
+
+def test_survival_fixpoint_on_a_long_chain():
+    # listed from the end that lives longest: a sweep in id order kills
+    # one node per pass
+    n = 100_000
+    chain = [[[k + 1]] for k in range(n - 1)] + [[]]
+    flags = surviving(chain)
+    assert len(flags) == n and not any(any(live) for live in flags)
+    chain[-1] = [[n - 1]]
+    assert all(live == [True] for live in surviving(chain))
 
 
 def test_powers_of_the_odometer_are_not_conjugate(odometer):
@@ -240,6 +252,28 @@ def test_root_permutation_conjugator_enumeration():
 # -- the triple-level graphs, as built before pair-level survival ---------------
 
 
+def reference_surviving(groups) -> set:
+    """Greatest fixpoint of survival by repeated sweeps: a node survives
+    iff every one of its groups has a surviving member.
+
+    groups maps each node to a re-iterable collection of groups, each a
+    re-iterable collection of nodes.  A node with an empty group dies, a
+    node with no groups survives, and a member that is not a key of
+    groups never survives.  Sweeps repeat until nothing dies.
+    """
+    alive = set(groups)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(alive):
+            for group in groups[v]:
+                if alive.isdisjoint(group):
+                    alive.discard(v)
+                    changed = True
+                    break
+    return alive
+
+
 def reference_conj_graph(a, b, cap=512):
     """(vertices, edges, roots, reachable) of the pruned conjugator graph
     over every pair of the two closures, or None when a closure exceeds
@@ -268,7 +302,7 @@ def reference_conj_graph(a, b, cap=512):
                     orb[0]: triples(succ_a[(i, orb[0])], succ_b[(j, pi[orb[0]])])
                     for orb in orbits(perm_a[i])
                 }
-    alive = surviving({v: e.values() for v, e in all_edges.items()})
+    alive = reference_surviving({v: e.values() for v, e in all_edges.items()})
     vertices = sorted(alive)
     edges = {
         v: {x: [s for s in succs if s in alive] for x, succs in all_edges[v].items()}
@@ -284,6 +318,14 @@ def reference_conj_graph(a, b, cap=512):
                     seen.add(pair)
                     reachable.append(pair)
     return vertices, edges, [v for v in vertices if v[:2] == (0, 0)], reachable
+
+
+def eval_index_word(words, iw):
+    """The product word of the index word iw over words, reduced."""
+    out = EMPTY
+    for t, exp in iw:
+        out = join(out, words[t] if exp == 1 else invert_word(words[t]))
+    return out
 
 
 def schreier_pairs(sys, a_words, b_words, perms_a, orbit_info, pi):
@@ -303,8 +345,8 @@ def schreier_pairs(sys, a_words, b_words, perms_a, orbit_info, pi):
             iw = reduce_word(words[y] + ((t, 1),) + invert_word(words[perms_a[t][y]]))
             if not iw:
                 continue
-            wa = sys.section(_eval_index_word(a_words, iw), y0)
-            wb = sys.section(_eval_index_word(b_words, iw), pi[y0])
+            wa = sys.section(eval_index_word(a_words, iw), y0)
+            wb = sys.section(eval_index_word(b_words, iw), pi[y0])
             key = (sys.find(wa), sys.find(wb))
             if key not in seen:
                 seen.add(key)
@@ -360,7 +402,7 @@ def reference_sim_conj_graph(as_, bs):
                 if s not in seen:
                     seen.add(s)
                     found.append(s)
-    alive = surviving({v: e.values() for v, e in all_edges.items()})
+    alive = reference_surviving({v: e.values() for v, e in all_edges.items()})
     vertices = [v for v in found if v in alive]
     edges = {
         v: {x: [s for s in succs if s in alive] for x, succs in all_edges[v].items()}
