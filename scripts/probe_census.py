@@ -8,8 +8,9 @@ pass does, then wraps private functions of the library in-process and
 runs the queries once.  It prints what the queries asked of the word
 problem: `Interner.key` calls, interner probes and the probes that
 found their signature bucket empty, `_equal_words` calls, `_bisimulate`
-calls by outcome, the `_depth_class` entries the queries added, and the
-signature depth of each alphabet degree seen.  The benchmark's tracer
+calls by outcome, the words whose signature the queries computed (new
+entries of the per-word signature memo), `FRSystem.section` calls, and
+the signature depth of each alphabet degree seen.  The benchmark's tracer
 wraps public functions only, so it cannot count these.  Work done while
 building the inputs is not counted.  The library is imported from ./src;
 nothing under src/ or bench/ is changed.
@@ -74,6 +75,7 @@ def census(workload, seed: int) -> tuple:
         return res
 
     Interner.key = counted("Interner.key", Interner.key)
+    FRSystem.section = counted("FRSystem.section", FRSystem.section)
     Interner._probe = counted_probe
     elements._bisimulate = counted_bisimulate
     # other modules, bounded.py among them, hold their own binding
@@ -84,7 +86,7 @@ def census(workload, seed: int) -> tuple:
             mod._equal_words = counted_equal
     for q in queries:
         q.run()
-    counts["new _depth_class entries"] = sum(len(s._sig) - sigs_before.get(id(s), 0) for s in systems)
+    counts["words newly signed"] = sum(len(s._sig) - sigs_before.get(id(s), 0) for s in systems)
     # a library with one signature depth for all degrees has no _sig_depth
     depths = {s.degree: getattr(s, "_sig_depth", None) for s in systems}
     return counts, depths
@@ -92,7 +94,8 @@ def census(workload, seed: int) -> tuple:
 
 ROWS = (
     "Interner.key", "probes", "probes into an empty bucket", "_equal_words",
-    "_bisimulate True", "_bisimulate False", "_bisimulate Exceeded", "new _depth_class entries",
+    "_bisimulate True", "_bisimulate False", "_bisimulate Exceeded", "words newly signed",
+    "FRSystem.section",
 )
 
 

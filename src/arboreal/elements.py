@@ -249,8 +249,8 @@ def is_trivial(g: Element):
 
 def _equal_words(sys: FRSystem, u: Word, v: Word, budget: int):
     """Decide u == v for two reduced words: the union-find, the cache of
-    decided pairs and the signature classes, which read the levels of
-    at most SIGNATURE_LEAVES vertices (system.py), first; then _bisimulate.
+    decided pairs and the signature classes, one level permutation per
+    word (system.py), first; then _bisimulate.
     A word longer than MAX_WORD_LENGTH that neither of the first two
     decides is Exceeded, before any signature is built."""
     u, v = sys.find(u), sys.find(v)
@@ -281,9 +281,9 @@ class Interner:
 
     Keys are handed out in first-seen order; words[k] is the union-find
     representative the key was created for.  Lookup first tries the
-    representative, then the bucket of its signature class, whose depth
-    system.py derives from SIGNATURE_LEAVES, and only runs bisimulations
-    against candidates sharing the class.
+    representative, then the bucket of its signature class, its
+    permutation of one tree level (system.py), and only runs
+    bisimulations against candidates sharing the class.
     """
 
     def __init__(self, system: FRSystem):

@@ -18,6 +18,7 @@ reserved for the trivial element.
 from __future__ import annotations
 
 import re
+from functools import cache
 from operator import itemgetter
 
 from .perms import Perm, check_perm, format_perm, identity, inverse as perm_inverse, is_identity
@@ -33,6 +34,8 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # vertices of the lowest level a signature reads: its depth is the
 # deepest k with degree**(k - 1) <= SIGNATURE_LEAVES
 SIGNATURE_LEAVES = 64
+# the bytes.translate table that adds an offset (below 256) modulo 256
+_shift = cache(lambda offset: bytes(range(offset, 256)) + bytes(range(offset)))
 
 
 class DslError(ValueError):
@@ -89,8 +92,10 @@ class FRSystem:
     of s^-1 inverts the sections of s indexed by preimage letter.  The
     itemgetter of the factor's root permutation is kept beside the row,
     one object per distinct permutation, so that rows hold nothing the
-    cyclic garbage collector has to keep traversing.  Reads are safe
-    from multiple threads under the GIL; concurrent definition is not
+    cyclic garbage collector has to keep traversing.  So do the
+    signature tables, one per signed factor and level, built from the
+    definitions when a signature first needs them.  Reads are safe from
+    multiple threads under the GIL; concurrent definition is not
     supported.
 
     _activity (classify.polynomial_degree) and _space, the deciders'
@@ -116,8 +121,8 @@ class FRSystem:
         # caches, keyed by reduced words
         self._root: dict[Word, Perm] = {}
         self._sect: dict[tuple[Word, int], Word] = {}
-        self._sig: dict[tuple[Word, int], int] = {}
-        self._classes: dict[tuple, int] = {}
+        self._sig: dict[Word, int] = {}
+        self._classes: dict[bytes | tuple, int] = {}
         self._parent: dict[Word, Word] = {}
         self._eq: dict[tuple[Word, Word], bool] = {}
         self._activity: dict[Word, object] = {}
@@ -127,6 +132,8 @@ class FRSystem:
         self._rows: dict[tuple[str, int], tuple] = {}
         self._takes: dict[tuple[str, int], itemgetter] = {}
         self._getters: dict[Perm, itemgetter] = {}
+        # per level size, per signed factor: its table on that level
+        self._tables: dict[int, dict[tuple[str, int], bytes | tuple]] = {}
 
     # -- definitions ---------------------------------------------------
 
@@ -263,27 +270,55 @@ class FRSystem:
                 return out
 
     def signature(self, w: Word) -> int:
-        """Class of w under bisimilarity down to the deepest level of at
-        most SIGNATURE_LEAVES vertices: a cheap invariant that spares
-        bisimulations between words it separates."""
-        return self._depth_class(w, self._sig_depth)
-
-    def _depth_class(self, w: Word, k: int) -> int:
-        """Hash-consed class of (root_perm(w),) for k = 1, else of root_perm(w)
-        and the depth k-1 classes of the sections of w: equal exactly when
-        the root permutations agree at every vertex above level k."""
-        sig = self._sig
-        cls = sig.get((w, k))
+        """Class of the permutation w induces on level _sig_depth: equal
+        exactly when the root permutations agree at every vertex above
+        it, a cheap invariant that spares bisimulations."""
+        cls = self._sig.get(w)
         if cls is None:
-            node = [self.root_perm(w)]
-            if k > 1:
-                # the memo is read before recursing: most sections are classed
-                for x in range(self.degree):
-                    s = self.section(w, x)
-                    c = sig.get((s, k - 1))
-                    node.append(self._depth_class(s, k - 1) if c is None else c)
-            cls = sig[(w, k)] = self._classes.setdefault(tuple(node), len(self._classes))
+            perm = self._level_perm(w, self.degree**self._sig_depth)
+            cls = self._sig[w] = self._classes.setdefault(perm, len(self._classes))
         return cls
+
+    def _level_perm(self, w: Word, n: int):
+        """The permutation w induces on the n vertices of a level, in
+        lexicographic order: the product of its factors' tables, composed
+        by bytes.translate up to 256 vertices, else as tuples."""
+        tables = self._tables.get(n) or self._tables.setdefault(n, {})
+        if n <= 256:
+            p = _shift(0)[:n]
+            for f in w:
+                p = p.translate(tables.get(f) or self._table(f, n))
+        else:
+            p = tuple(range(n))
+            for f in w:
+                p = tuple(map((tables.get(f) or self._table(f, n)).__getitem__, p))
+        return p
+
+    def _table(self, f: tuple[str, int], n: int):
+        """Table of the signed factor f on the level of n vertices: for a
+        symbol s, vertex x*u goes to (x^s)*(u^(s|_x)), the block of x^s
+        shifted by the permutation of the section one level up (at most
+        SIGNATURE_LEAVES vertices, so bytes); s^-1 inverts the table of s.
+        Bytes tables are padded to the 256 entries translate reads."""
+        s, x = f
+        tables, ident = self._tables[n], _shift(0)
+        if x == -1:
+            pos = tables.get((s, 1)) or self._table((s, 1), n)
+            t = bytes.maketrans(pos[:n], ident[:n]) if n <= 256 else tuple(sorted(range(n), key=pos.__getitem__))
+        else:
+            m = n // self.degree
+            lower = self._tables.get(m) or self._tables.setdefault(m, {})
+            perm, secs = self._defs[s]
+            t = []
+            for sec, y in zip(secs, perm):
+                q = ident[:m]
+                if m > 1:
+                    for g in sec:
+                        q = q.translate(lower.get(g) or self._table(g, m))
+                t.append(q.translate(_shift(y * m)) if n <= 256 else tuple(v + y * m for v in q))
+            t = b"".join(t) + ident[n:] if n <= 256 else tuple(v for block in t for v in block)
+        tables[f] = t
+        return t
 
     # -- union-find over words proven equal ------------------------------
 

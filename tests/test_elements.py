@@ -178,14 +178,14 @@ def test_interner_keys_words_by_semantic_equality(carry):
 
 def test_over_long_words_are_refused_before_any_signature(monkeypatch, branch):
     # a word past MAX_WORD_LENGTH that the union-find and the cache of
-    # decided pairs do not settle answers Exceeded without building the
-    # signature sections of its levels, which take seconds on BRANCH
+    # decided pairs do not settle answers Exceeded without composing the
+    # level permutation of its signature, one table per letter
     sys, b = branch
 
-    def refuse(self, w, k):
+    def refuse(self, w, n):
         raise AssertionError("signature of an over-long word")
 
-    monkeypatch.setattr(FRSystem, "_depth_class", refuse)
+    monkeypatch.setattr(FRSystem, "_level_perm", refuse)
     for n in (MAX_WORD_LENGTH + 1, 4 * MAX_WORD_LENGTH):
         long = power(b, n)
         for res in (is_trivial(long), equal(long, b), equal(b, long)):
@@ -252,6 +252,12 @@ SIGNATURE_SYSTEMS = {
         for degree in (2, 3, 4, 5)
         for seed in (1, 2, 3)
     },
+    # level permutations are bytes up to 256 vertices (degree 6 at depth 3,
+    # 16 at depth 2) and tuples past that (7 and 8 at depth 3, 17 at depth 2)
+    **{
+        "random_bounded(1, 4, %d)" % degree: lambda degree=degree: random_bounded(1, 4, degree)
+        for degree in (6, 7, 8, 16, 17)
+    },
 }
 
 
@@ -260,15 +266,32 @@ def test_signature_classes_match_the_tuple_signature(label):
     sys = SIGNATURE_SYSTEMS[label]()
     words = short_words(sys)
     for k in range(1, sys._sig_depth + 1):
-        classes = [sys._depth_class(w, k) for w in words]
+        perms = [sys._level_perm(w, sys.degree**k) for w in words]
         tuples = [reference_signature(sys, w, k) for w in words]
+        assert all(sorted(p) == list(range(sys.degree**k)) for p in perms)
         for i, j in combinations(range(len(words)), 2):
-            assert (classes[i] == classes[j]) == (tuples[i] == tuples[j]), (label, k, words[i], words[j])
-    assert all(sys.signature(w) == sys._depth_class(w, sys._sig_depth) for w in words)
+            assert (perms[i] == perms[j]) == (tuples[i] == tuples[j]), (label, k, words[i], words[j])
+    classes = [sys.signature(w) for w in words]
+    for i, j in combinations(range(len(words)), 2):
+        assert (classes[i] == classes[j]) == (perms[i] == perms[j]), (label, words[i], words[j])
 
 
 def test_signature_depth_reads_at_most_64_vertices_of_its_lowest_level():
-    assert [FRSystem(d)._sig_depth for d in (2, 3, 4, 5, 6)] == [7, 4, 4, 3, 3]
+    assert [FRSystem(d)._sig_depth for d in (2, 3, 4, 5, 6, 7, 8)] == [7, 4, 4, 3, 3, 3, 3]
+
+
+def test_signatures_walk_no_sections(monkeypatch):
+    # a signature composes its factors' level tables, built from the
+    # definitions: no word is sectioned, however long
+    words = [g.word for g in orbit_signalizer(one(parse_system(BRANCH), "b"), 150).elements]
+    sys = parse_system(BRANCH)
+
+    def refuse(self, w, letter):
+        raise AssertionError("section walked for a signature")
+
+    monkeypatch.setattr(FRSystem, "section", refuse)
+    assert max(map(len, words)) > 100
+    assert len({sys.signature(w) for w in words}) == len(words)
 
 
 def test_proven_equal_words_share_a_signature():

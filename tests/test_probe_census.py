@@ -25,14 +25,14 @@ def test_probe_census_counts_the_word_problem_calls(capsys, monkeypatch):
             del sys.modules[name]
         sys.modules.update(saved)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 10
+    assert len(lines) == len(census.ROWS) + 2
     assert lines[0] == "workload closure_growth seed 1"
     counts = {}
-    for line in lines[1:9]:
+    for line in lines[1:-1]:
         name, value = re.fullmatch(r"(\S.*\S) +(\d+)", line).groups()
         counts[name] = int(value)
     assert list(counts) == list(census.ROWS)
-    assert re.fullmatch(r"signature depth by degree +(\d+: \d+)(, \d+: \d+)*", lines[9])
+    assert re.fullmatch(r"signature depth by degree +(\d+: \d+)(, \d+: \d+)*", lines[-1])
     assert 0 <= counts["probes into an empty bucket"] <= counts["probes"] <= counts["Interner.key"]
     assert counts["Interner.key"] > 0 and counts["_equal_words"] > 0
     outcomes = sum(counts["_bisimulate %s" % r] for r in ("True", "False", "Exceeded"))
