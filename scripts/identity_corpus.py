@@ -10,10 +10,12 @@ depth-8 orbit-tree code differs from a's.  The slices are degree 2
 
 A record holds the closure sizes, the finitary depths and witness, the
 Pol(-1), Pol(0), Aut and simultaneous verdicts with their certificates
-and witness texts, the least and greatest basic conjugators and digests
-of the canonical representatives.  The last line is the sha256 of all
-records, so two versions of the library that print the same digest gave
-the same verdicts, witnesses and symbol names on the whole corpus:
+and witness texts, the conjugator of the Aut verdict, the greatest basic
+conjugator and the number of basic conjugators of the pruned conjugator
+graph, and digests of the canonical representatives.  The last line is
+the sha256 of all records, so two versions of the library that print
+the same digest gave the same verdicts, witnesses and symbol names on
+the whole corpus:
 
     PYTHONPATH=src python scripts/identity_corpus.py > new.txt
 """
@@ -29,6 +31,7 @@ from arboreal import (
     basic_conjugator,
     canonical_representative,
     configurations,
+    conj_graph,
     conjugate_in_aut,
     conjugate_in_aut_simultaneous,
     conjugate_in_pol0_cyclic,
@@ -86,9 +89,10 @@ def record(a: Element, b: Element, depth: int) -> list:
     dec = conjugate_in_aut(a, b)
     out.append("aut %s %s %d/%d" % (dec.tag, dec.reason, len(dec.graph.vertices), len(dec.graph.roots)))
     if dec.conjugate:
-        for policy in ("least", "greatest"):
-            out.append("%s %s" % (policy, witness(basic_conjugator(dec.graph, policy).element)))
-        out.append("all %d" % len(all_basic_conjugators(dec.graph, limit=4)))
+        graph = conj_graph(a, b)
+        out.append("least %s" % witness(basic_conjugator(dec.graph).element))
+        out.append("greatest %s" % witness(basic_conjugator(graph, "greatest").element))
+        out.append("all %d" % len(all_basic_conjugators(graph, limit=4)))
     sim = conjugate_in_aut_simultaneous([a, power(a, 2)], [b, power(b, 2)])
     out.append("sim %s %s %d" % (sim.tag, sim.reason, len(sim.graph.vertices)))
     if sim.conjugate:

@@ -30,7 +30,7 @@ import logging
 from dataclasses import dataclass
 
 from .classify import polynomial_degree
-from .conjugacy import _orbit_sections, _pair_sections, conjugate_in_aut
+from .conjugacy import _decide, _orbit_sections, _pair_sections, conj_graph
 from .elements import EQUALITY_BUDGET, Element, Exceeded, Interner, _equal_words, _same_system
 from .graphs import breadth_first, surviving
 from .perms import Perm, compose, conjugators, is_identity, inverse as perm_inverse, orbits
@@ -663,10 +663,11 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
     """Conjugacy of bounded automorphisms by a bounded automorphism.
 
     A bounded conjugator is a conjugator in Aut(T), so the decision runs
-    over the pruned conjugator graph of conjugate_in_aut: its surviving
+    over the pruned conjugator graph conj_graph of the pair: its surviving
     pairs in discovery order, the input pair first, their surviving root
-    permutations and their successors.  An Aut verdict of unknown or
-    not_conjugate is returned as it is, with the Aut reason.  Otherwise
+    permutations and their successors.  A graph whose closures exceed
+    the cap answers unknown, and one that keeps no root vertex answers
+    not_conjugate, each with the graph's reason.  Otherwise
     a monotone fixpoint over the pairs runs each rule of _RULES (_seed,
     _moving, _circuit) over every pair in turn, then reduction sweeps
     (_sweep); tests/test_bounded.py calls each of them on its own.  The
@@ -676,7 +677,8 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
     """
     _require_bounded(a, b)
     sys = _same_system(a, b)
-    aut = conjugate_in_aut(a, b, cap)
+    aut = _decide(conj_graph(a, b, cap), "orbit-power closure exceeded cap %d" % cap,
+                  "no root vertex survives pruning")
     if aut.tag == "unknown":
         return RestrictedDecision("unknown", certificate=aut.reason)
     if not aut.conjugate:

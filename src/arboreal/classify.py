@@ -229,7 +229,8 @@ def orbit_signalizer(g: Element, cap: int = 512, letters: str = "least") -> Orbi
     """BFS closure from g under b -> b^m|_x over orbits of the root action.
 
     letters="least" anchors each orbit at its least letter (enough for
-    the order computation); letters="all" closes over every anchor,
+    the order computation and for conjugate_in_aut, whose cap counts
+    these elements); letters="all" closes over every anchor,
     which the conjugacy graphs need since their targets sit at images
     of least letters under arbitrary root conjugators.
     """

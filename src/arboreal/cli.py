@@ -245,8 +245,8 @@ def _cmd_conjugate(args):
             if is_bounded(a) and is_bounded(b):
                 group = "aut"
                 note = "both inputs bounded; finite-state verdict equals the unrestricted one"
-            # the Aut decider answers only when its closures over all
-            # letters are complete, and those contain the least-letter ones
+            # the Aut decider answers only when both least-letter
+            # orbit-power closures are complete: finite orbit-signalizers
             elif nucleus(a, size_cap=args.cap).contracting and nucleus(b, size_cap=args.cap).contracting:
                 group = "aut"
                 note = "contraction verified and both orbit-power closures complete"

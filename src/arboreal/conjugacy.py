@@ -1,10 +1,18 @@
 """Conjugacy of tree automorphisms.
 
-The decision works on a finite graph.  A node pairs up a section of the
-input with one of the target: a closure pair (i, j) of the two
-orbit-power closures, or, for simultaneous conjugacy, a 1-tuple (tk,)
-of a tuple key of interned section-word pairs.  A vertex is a node with
-a root conjugator candidate pi appended.  One engine, `_prune`,
+Conjugacy of a pair in Aut(T) is isomorphism of orbit trees:
+`conjugate_in_aut` runs colour refinement (graphs.refine) over the two
+least-letter orbit-power closures, and on a positive builds a conjugator
+graph with one vertex per equal-colour pair, none of which dies, for
+`basic_conjugator`.  No root conjugator is enumerated.
+
+The pruned conjugator graphs serve the rest: `conj_graph` for Pol(0),
+`all_basic_conjugators` and `graph conj`, and `sim_conj_graph` for
+tuples.  A node pairs up a section of the input with one of the
+target: a closure pair (i, j) of the two orbit-power closures, or, for
+simultaneous conjugacy, a 1-tuple (tk,) of a tuple key of interned
+section-word pairs.  A vertex is a node with a root conjugator
+candidate pi appended.  One engine, `_prune`, builds every graph: it
 numbers the nodes reachable from the input's node as it finds them,
 and keeps a vertex, one option of its node, only if every orbit of its
 first component can be followed to a surviving vertex; nodes that the
@@ -30,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .classify import OrbitSignalizer, orbit_signalizer
 from .elements import Element, Exceeded, Interner, _same_system, minimize
-from .graphs import breadth_first, surviving
+from .graphs import breadth_first, refine, surviving
 from .oracle import TruncatedAut, _check_depth
 from .perms import Perm, conjugators, inverse as perm_inverse, orbits
 from .system import EMPTY, FRSystem, Word, format_system, invert_word, join
@@ -65,7 +73,8 @@ class ConjGraph:
 
     A node is a closure pair (i, j) or a 1-tuple (tk,) of a tuple key,
     and a vertex, a node with a root conjugator pi appended, is one
-    option of its node: it survives iff all its successor nodes do.
+    option of its node: it survives iff all its successor nodes do.  The
+    graph of a conjugate_in_aut positive has one vertex per node.
     edges[v] maps each orbit letter of v to the surviving vertices of
     its successor node; roots are the surviving vertices of root.
     pairs maps each node with a surviving vertex, in discovery order,
@@ -191,8 +200,53 @@ def _decide(graph: ConjGraph, unknown: str, negative: str) -> ConjDecision:
 
 
 def conjugate_in_aut(a: Element, b: Element, cap: int = 512) -> ConjDecision:
-    return _decide(conj_graph(a, b, cap), "orbit-power closure exceeded cap %d" % cap,
-                   "no root vertex survives pruning")
+    """Conjugacy in Aut(T), as isomorphism of the orbit trees of a and b.
+
+    Two automorphisms are conjugate iff their labelled orbit trees are
+    isomorphic (Gawron, Nekrashevych and Sushchansky 2001).  The orbit
+    tree of g unfolds its least-letter orbit-power closure, an orbit of
+    size m at letter x leading to the orbit tree of g^m|_x, so
+    graphs.refine over both closures decides: not conjugate at the
+    first depth where the colours of a and b differ, else conjugate.
+    The graph of a positive has one vertex (i, j, pi) per equal-colour
+    pair reachable from (0, 0): pi matches the orbits of the two root
+    permutations by size and colour, least letter to least letter in
+    order of least letters, and maps x a^t to y b^t along each matched
+    pair of cycles.  Unknown when either closure exceeds cap elements.
+    """
+    _same_system(a, b)
+    os_a, os_b = orbit_signalizer(a, cap), orbit_signalizer(b, cap)
+    graph = ConjGraph((0, 0), os_a.interner, os_a, os_b)
+    if not (os_a.complete and os_b.complete):
+        graph.status = "exceeded"
+        return ConjDecision("unknown", graph, reason="orbit-power closure exceeded cap %d" % cap)
+    na = len(os_a.elements)
+    rows: list = [[] for _ in range(na + len(os_b.elements))]  # per node: (letter, size, successor)
+    for base, os in ((0, os_a), (na, os_b)):
+        for i, m, k, x in os.edges:
+            rows[base + i].append((x, m, base + k))
+    for depth, (colour, _) in enumerate(refine([[(m, k) for _, m, k in row] for row in rows]), 1):
+        if colour[0] != colour[na]:
+            return ConjDecision("not_conjugate", graph, reason="orbit trees differ at depth %d" % depth)
+    perms = [g.root_perm for g in os_a.elements + os_b.elements]
+
+    def expand(node):
+        i, j = node[0], na + node[1]
+        targets: dict = {}  # (size, colour) -> b's orbits, greatest letter first
+        for y, m, k in reversed(rows[j]):
+            targets.setdefault((m, colour[k]), []).append((y, k))
+        pi = [0] * len(perms[i])
+        letters, row = [], []
+        for x, m, k in rows[i]:
+            y, kb = targets[(m, colour[k])].pop()
+            letters.append(x)
+            row.append((k, kb - na))
+            for _ in range(m):
+                pi[x] = y
+                x, y = perms[i][x], perms[j][y]
+        return [node + (tuple(pi),)], letters, [row]
+
+    return ConjDecision("conjugate", _prune(graph, expand))
 
 
 # -- simultaneous conjugacy -----------------------------------------------------

@@ -3,12 +3,14 @@ graphs, no recursion).
 
 `surviving` is the one survival fixpoint, a worklist linear in its
 integer option table: the conjugator graphs, the simultaneous tuple
-graphs and the configuration closures all prune by it.  `breadth_first`
-walks the configuration closures, both while they are built and when
-their survivors are listed, and the pruned graphs in conjugator
-synthesis: `basic_conjugator`, `all_basic_conjugators` and
-`sim_basic_conjugator`.  `strongly_connected_components` serves the
-order graphs and the circuit analysis of classification.
+graphs and the configuration closures all prune by it.  `refine` is
+colour refinement, which decides conjugacy in Aut over the two
+orbit-power closures.  `breadth_first` walks the configuration
+closures, both while they are built and when their survivors are
+listed, and the conjugator graphs in synthesis: `basic_conjugator`,
+`all_basic_conjugators` and `sim_basic_conjugator`.
+`strongly_connected_components` serves the order graphs and the
+circuit analysis of classification.
 """
 
 from __future__ import annotations
@@ -41,6 +43,50 @@ def surviving(options) -> list:
                 if not live[v]:
                     dead.append(v)
     return flags
+
+
+def refine(succ):
+    """Colour refinement of a graph whose edges carry labels.
+
+    succ[v] lists the pairs (label, successor) of node v, successors in
+    range(len(succ)).  Every node starts with colour 0, and round r
+    colours v by its colour and the sorted multiset of (label, colour of
+    successor) at round r - 1, so two nodes share a colour after round r
+    iff their unfoldings agree to depth r.  Yields (colour, signed) after
+    each round: colour the class ids, one per node and updated in place,
+    and signed the number of signatures the round computed.  The rounds
+    stop once no node is left to sign, so the last colours are stable.
+
+    Only the predecessors of nodes whose class id changed are signed
+    again.  A class that splits keeps its id for the nodes not signed,
+    or else for its largest part, so a chain costs O(n) signatures, not
+    O(n^2).
+    """
+    pred: list = [[] for _ in succ]
+    for v, row in enumerate(succ):
+        for _, s in row:
+            pred[s].append(v)
+    colour = [0] * len(succ)
+    size = [len(succ)]  # nodes per class id
+    signed: list = list(range(len(succ)))
+    while signed:
+        parts: dict = {}  # class id -> {signature: nodes}
+        for v in signed:
+            sig = tuple(sorted([(m, colour[s]) for m, s in succ[v]]))
+            parts.setdefault(colour[v], {}).setdefault(sig, []).append(v)
+        changed = []
+        for c, by_sig in parts.items():
+            groups = list(by_sig.values())
+            if sum(map(len, groups)) == size[c]:
+                del groups[max(range(len(groups)), key=lambda k: len(groups[k]))]
+            for group in groups:
+                size[c] -= len(group)
+                for v in group:
+                    colour[v] = len(size)
+                size.append(len(group))
+                changed += group
+        yield colour, len(signed)
+        signed = list(dict.fromkeys(u for v in changed for u in pred[v]))
 
 
 def breadth_first(root, successors) -> list:

@@ -118,7 +118,11 @@ def truncated_order(g: Element, n: int) -> int:
 def orbit_tree_code(g: Element, n: int) -> str:
     """Canonical string of the orbit tree of <g> on the truncated tree:
     per orbit, its size and the sorted distinct codes of its child
-    orbits.  Conjugate automorphisms get equal codes at every depth.
+    orbits, each after its count kx when k > 1 child orbits share it.
+    Two automorphisms get equal codes at depth n iff their orbit trees
+    cut at depth n are isomorphic, which holds at every depth iff they
+    are conjugate in Aut(T).  Counts, not repeats, keep the code of a
+    subtree fixed pointwise linear in its depth.
 
     Orbit-power recursion, grouped by syntactic identity: an orbit of
     size s whose power section is w has one child orbit of size s*m per
@@ -133,8 +137,9 @@ def orbit_tree_code(g: Element, n: int) -> str:
     def code(w, k, s):
         if k == 0:
             return "(%d)" % s
-        kids = {code(u, k - 1, s * m) for m, u in _orbit_powers(sys, w)}
-        return "(%d:%s)" % (s, ",".join(sorted(kids)))
+        kids = sorted([code(u, k - 1, s * m) for m, u in _orbit_powers(sys, w)])
+        counted = (c if kids.count(c) == 1 else "%dx%s" % (kids.count(c), c) for c in dict.fromkeys(kids))
+        return "(%d:%s)" % (s, ",".join(counted))
 
     return code(g.word, n, 1)
 

@@ -31,7 +31,7 @@ from arboreal import (
 )
 from arboreal import elements
 from arboreal.bounded import ConfigSpace, FinSat, _Pol0, _circuit, _closure, _conjugates, _moving, _seed, _sweep
-from arboreal.conjugacy import ConjGraph
+from arboreal.conjugacy import ConjGraph, conj_graph
 from arboreal.elements import Exceeded
 from arboreal.perms import orbits
 from arboreal.system import format_word, merge_into, parse_system, reduce_word
@@ -380,8 +380,8 @@ def test_deciders_on_one_system_share_its_space():
 
 def test_pol0_verdicts_sit_below_the_aut_verdicts():
     # conjugate in Pol(-1) => conjugate in Pol(0) => conjugate in Aut,
-    # and an Aut negative is a Pol(0) negative with the Aut reason, on
-    # the 80 planted and coded-negative corpus pairs
+    # and an Aut negative is a Pol(0) negative, certified by the pruned
+    # graph, on the 80 planted and coded-negative corpus pairs
     tags = collections.Counter()
     for _, _, _, a, b, _ in load_corpus().pairs(30, 10):
         aut = conjugate_in_aut(a, b)
@@ -394,7 +394,8 @@ def test_pol0_verdicts_sit_below_the_aut_verdicts():
             assert aut.conjugate
         if aut.tag == "not_conjugate":
             assert dec.tag == "not_conjugate"
-            assert dec.certificate == "not conjugate in Aut: " + aut.reason
+            assert dec.certificate == "not conjugate in Aut: no root vertex survives pruning"
+            assert aut.reason.startswith("orbit trees differ at depth ")
     assert tags == {
         ("conjugate", "conjugate", "conjugate"): 27,
         ("not_conjugate", "conjugate", "conjugate"): 13,
@@ -733,7 +734,7 @@ def test_sweeps_take_the_first_ready_vertex_gauss_seidel():
 
 def pol0_state(a, b):
     """The _Pol0 state of the pair, over its pruned Aut graph."""
-    return _Pol0(conjugate_in_aut(a, b).graph, ConfigSpace.of(a.system), 512)
+    return _Pol0(conj_graph(a, b), ConfigSpace.of(a.system), 512)
 
 
 def test_moving_builds_its_candidate_from_the_closure_words():
@@ -845,7 +846,7 @@ def test_bounded_witness_deeper_than_the_recursion_limit(chain, ring, rule):
         dec = conjugate_in_pol0_cyclic(a, b)
         assert dec.tag == "conjugate" and dec.certificate == "rule %s" % rule
         assert verify_conjugator(dec.conjugator, a, b, 6)
-        assert len(all_basic_conjugators(conjugate_in_aut(a, b).graph, limit=2)) == 2
+        assert len(all_basic_conjugators(conj_graph(a, b), limit=2)) == 2
 
 
 def test_restricted_decisions_print_their_verdict():

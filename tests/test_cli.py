@@ -252,6 +252,17 @@ def test_negative_and_unknown_verdicts_print_their_reason(fr, capsys):
     assert run(capsys, "conjugate", odo, "a", "a^-1")[1] == "conjugate\n"
 
 
+def test_aut_decides_at_degree_nine_without_listing_root_conjugators(fr, capsys):
+    # the identity root permutation of q and r has 9! conjugators, past
+    # CONJUGATOR_CAP; the Aut decider never lists them
+    e8 = ", ".join(["e"] * 8)
+    path = fr("alphabet 9\nt = (e, %s) [1 0 2 3 4 5 6 7 8]\nq = (t, %s)\nr = (e, t, %s)\n"
+              % (e8, e8, ", ".join(["e"] * 7)))
+    code, report = run_json(capsys, "conjugate", path, "q", "r")
+    assert (code, report["verdict"], report["witness"]["verified_depth"]) == (0, "conjugate", 10)
+    assert run(capsys, "conjugate", path, "q", "t") == (1, "not conjugate\nreason: orbit trees differ at depth 1\n")
+
+
 def test_pol_minus1_answers_within_a_small_cap(fr, capsys):
     # p = p^-1 in the carry machines, so the root configuration has depth
     # 0; the walk stops there, where the whole universe passes cap 1

@@ -1,6 +1,9 @@
 """Conjugator graphs over the full group, witness synthesis, the
 simultaneous variant, and canonical representatives."""
 
+import collections
+import functools
+
 import pytest
 
 from arboreal import (
@@ -19,6 +22,7 @@ from arboreal import (
     inverse,
     minimize,
     multiply,
+    orbit_tree_code,
     power,
     sim_basic_conjugator,
     sim_conj_graph,
@@ -28,12 +32,12 @@ from arboreal import conjugacy
 from arboreal.classify import orbit_signalizer
 from arboreal.conjugacy import _joint_orbits
 from arboreal.elements import Interner
-from arboreal.graphs import surviving
+from arboreal.graphs import refine, surviving
 from arboreal.oracle import random_bounded
 from arboreal.perms import orbits
-from arboreal.system import EMPTY, invert_word, join, merge_into, parse_system, reduce_word
+from arboreal.system import EMPTY, invert_word, join, merge_into, parse_system, parse_word, reduce_word
 
-from conftest import BRANCH, CARRY, TWISTED, one
+from conftest import BRANCH, CARRY, TWISTED, one, swap_chains
 from test_identity_corpus import load as load_corpus
 
 
@@ -610,3 +614,108 @@ def test_a_one_tuple_at_cap_zero_is_unknown_like_the_pair(odometer):
     dec = conjugate_in_aut_simultaneous([a], [inverse(a)], cap=0)
     assert dec.tag == "unknown"
     assert dec.reason == "tuple graph exceeded cap 0"
+
+
+# -- Aut conjugacy by colour refinement ------------------------------------------
+
+# bounded groups as DSL text, each with words whose ordered pairs the
+# colour corpus compares (the DSL takes only the exponents 1 and -1)
+CLASSIC = {
+    "grigorchuk": ("alphabet 2\na = (e, e) [1 0]\nb = (a, c)\nc = (a, d)\nd = (e, b)\n",
+                   ["a", "b", "c", "d", "a*b", "a*c", "a*d", "a*b*a*c"]),
+    "basilica": ("alphabet 2\na = (e, b)\nb = (e, a) [1 0]\n",
+                 ["a", "b", "a^-1", "b^-1", "a*b", "b*a", "a*b^-1", "a*a*b"]),
+    "hanoi": ("alphabet 3\nx = (e, e, x) [1 0 2]\ny = (e, y, e) [2 1 0]\nz = (z, e, e) [0 2 1]\n",
+              ["x", "y", "z", "x*y", "y*x", "x*z", "x*y*z", "x*y*x"]),
+    "odometer": ("alphabet 2\na = (e, a) [1 0]\n",
+                 ["e", "a", "a^-1", "a*a", "a^-1*a^-1", "a*a*a", "a^-1*a^-1*a^-1", "a*a*a*a"]),
+}
+
+
+@functools.cache
+def colour_corpus() -> list:
+    """(degree, a, b): for d = 2..6 and k < 40, g the last symbol of
+    random_bounded(k, 6, d) against g^-1, against the first symbol and
+    against h^-1*g*h, h the last symbol of random_bounded(1000 + k, 3, d)
+    merged in; then every ordered pair of words of each CLASSIC group."""
+    out = []
+    for d in range(2, 7):
+        for k in range(40):
+            sys = random_bounded(k, 6, d)
+            g, f = one(sys, sys.symbols[-1]), one(sys, sys.symbols[0])
+            other = random_bounded(1000 + k, 3, d)
+            h = one(sys, merge_into(sys, other)[other.symbols[-1]])
+            out += [(d, g, t) for t in (inverse(g), f, multiply(multiply(inverse(h), g), h))]
+    for text, words in CLASSIC.values():
+        sys = parse_system(text)
+        elements = [Element(sys, parse_word(w)) for w in words]
+        out += [(sys.degree, a, b) for a in elements for b in elements]
+    return out
+
+
+def test_colour_verdicts_match_the_pruned_graph():
+    # wherever the pruned graph over the all-letter closures decides, the
+    # colours of the least-letter closures give its verdict, and each
+    # colour witness verifies; the smaller closures decide 3 pairs more
+    tally = collections.Counter()
+    for d, a, b in colour_corpus():
+        dec = conjugate_in_aut(a, b)
+        graph = conj_graph(a, b)
+        if graph.complete:
+            assert dec.tag == ("conjugate" if graph.roots else "not_conjugate"), (a, b)
+        tally[dec.tag, graph.status] += 1
+        if dec.conjugate:
+            assert verify_conjugator(basic_conjugator(dec.graph), a, b, 10 if d == 2 else 6) is True, (a, b)
+    assert tally == {("conjugate", "complete"): 501, ("not_conjugate", "complete"): 352,
+                     ("conjugate", "exceeded"): 2, ("not_conjugate", "exceeded"): 1}
+
+
+def test_colour_negatives_are_certified_by_the_orbit_tree_codes():
+    # a negative names the first depth r at which the colours of a and b
+    # differ: the leaf oracle's codes agree at depth r - 1 and differ at r
+    depths = collections.Counter()
+    for _, a, b in colour_corpus():
+        dec = conjugate_in_aut(a, b)
+        if dec.tag == "not_conjugate":
+            r = int(dec.reason.removeprefix("orbit trees differ at depth "))
+            assert orbit_tree_code(a, r - 1) == orbit_tree_code(b, r - 1), (a, b)
+            assert orbit_tree_code(a, r) != orbit_tree_code(b, r), (a, b)
+            depths[r] += 1
+    assert depths == {1: 236, 2: 99, 3: 14, 4: 4}
+
+
+def test_refinement_counts_multiplicities():
+    # nodes 0 and 1 both have three orbits of size 1, into the same
+    # classes but not equally often, so they part in round 2; a class
+    # that splits keeps its id for its largest part, the first on a tie
+    succ = [[(1, 2), (1, 2), (1, 3)], [(1, 2), (1, 3), (1, 3)], [(2, 2)], [(1, 3), (1, 3)]]
+    rounds = [(list(colour), signed) for colour, signed in refine(succ)]
+    assert rounds == [([0, 0, 1, 2], 4), ([0, 3, 1, 2], 4)]
+    # one colour for unfoldings that agree at every depth
+    assert [list(colour) for colour, _ in refine([[(1, 1)], [(1, 2)], [(1, 2)], [(1, 3)]])] == [[0, 0, 0, 0]]
+
+
+def test_refinement_signs_a_chain_linearly(monkeypatch):
+    # f1 and f2 of swap_chains(n) differ only where f1's chain ends, at
+    # depth n - 1; each round signs again only the predecessors of the
+    # nodes whose class split, two per round here, not the whole chains
+    signed = []
+
+    def counted(succ):
+        for colour, n in refine(succ):
+            signed.append(n)
+            yield colour, n
+
+    monkeypatch.setattr(conjugacy, "refine", counted)
+    counts = []
+    for levels in (200, 400):
+        signed.clear()
+        sys = parse_system(swap_chains(levels))
+        f1, f2 = one(sys, "f1"), one(sys, "f2")
+        dec = conjugate_in_aut(f1, f2, cap=4096)
+        assert dec.reason == "orbit trees differ at depth %d" % (levels - 1)
+        counts.append(sum(signed))
+        if levels == 200:  # within the oracle's MAX_DEPTH
+            assert orbit_tree_code(f1, 198) == orbit_tree_code(f2, 198)
+            assert orbit_tree_code(f1, 199) != orbit_tree_code(f2, 199)
+    assert counts == [797, 1597] and counts[1] <= 2.5 * counts[0]

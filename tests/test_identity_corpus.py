@@ -28,9 +28,10 @@ def test_identity_corpus_prints_records_and_their_digest(capsys):
     digest = hashlib.sha256("".join(line + "\n" for line in records).encode()).hexdigest()
     assert last == "sha256 " + digest
     # the slice's verdicts, witnesses and symbol names, pinned; the aut
-    # vertex counts are those of the pairs reachable from the input pair,
-    # and a negative's pol0 certificate is the Aut reason
-    assert last == "sha256 7ecf2a76ada09772b36c960c1c860cfe9cbdfa9bd6087b23a7dd437573bdf0bc"
+    # vertex counts are those of the equal-colour pairs reachable from the
+    # input pair, a negative's aut reason is the depth at which the orbit
+    # trees differ, and its pol0 certificate is the pruned graph's
+    assert last == "sha256 c26ed3d118ab2ebeb34c7cae39e606825b9d0bbcc3ad28a276c023164d1826ba"
     # a second run in the same process prints the same corpus
     corpus.main(["--deg2", "2", "--deg3", "1"])
     assert capsys.readouterr().out.splitlines()[-1] == last

@@ -22,7 +22,7 @@ from arboreal import (
     verify_conjugator,
 )
 from arboreal import elements
-from arboreal.oracle import MAX_LEAVES
+from arboreal.oracle import MAX_DEPTH, MAX_LEAVES
 from arboreal.perms import orbits
 from arboreal.system import FRSystem, format_system, merge_into, parse_system, rename_word
 
@@ -88,25 +88,27 @@ def test_truncation_is_the_level_action(odometer):
 def reference_orbit_codes(maps, d):
     """Orbit-tree code at every depth 0..len(maps)-1, read off the level
     maps of a truncation: per orbit of each level, its size and the
-    sorted distinct codes of the orbits of the next level below it."""
-    per_level = []  # (orbit id of each vertex, orbit sizes)
+    sorted distinct codes of the orbits of the next level below it, each
+    after its count when more than one child orbit has it."""
+    per_level = []  # (orbit id of each vertex, orbits)
     for level in maps:
         oid = [0] * len(level)
-        sizes = []
-        for i, cyc in enumerate(orbits(level)):
-            sizes.append(len(cyc))
+        cycles = orbits(level)
+        for i, cyc in enumerate(cycles):
             for v in cyc:
                 oid[v] = i
-        per_level.append((oid, sizes))
+        per_level.append((oid, cycles))
     out = []
     for n in range(len(maps)):
-        codes = ["(%d)" % s for s in per_level[n][1]]
+        codes = ["(%d)" % len(c) for c in per_level[n][1]]
         for k in range(n - 1, -1, -1):
-            oid, sizes = per_level[k]
-            children = [set() for _ in sizes]
-            for v, i in enumerate(per_level[k + 1][0]):
-                children[oid[v // d]].add(codes[i])
-            codes = ["(%d:%s)" % (sizes[i], ",".join(sorted(children[i]))) for i in range(len(sizes))]
+            oid, cycles = per_level[k]
+            children = [[] for _ in cycles]
+            for i, cyc in enumerate(per_level[k + 1][1]):
+                children[oid[cyc[0] // d]].append(codes[i])
+            codes = ["(%d:%s)" % (len(cyc), ",".join(c if kids.count(c) == 1 else "%dx%s" % (kids.count(c), c)
+                                                     for c in sorted(set(kids))))
+                     for cyc, kids in zip(cycles, children)]
         out.append(codes[0])
     return out
 
@@ -213,6 +215,19 @@ def test_orbit_codes_are_conjugacy_invariants(odometer):
         assert orbit_tree_code(a, n) == orbit_tree_code(inverse(a), n)
     assert orbit_tree_code(a, 1) != orbit_tree_code(multiply(a, inverse(a)), 1)
     assert orbit_tree_code(a, 2) != orbit_tree_code(power(a, 2), 2)
+
+
+def test_orbit_codes_count_the_child_orbits():
+    # a transposition and a double transposition at degree 5 have child
+    # orbits of sizes 1 and 2 both, but not equally many
+    sys = parse_system("alphabet 5\nu = (e, e, e, e, e) [1 0 2 3 4]\nv = (e, e, e, e, e) [1 0 3 2 4]\n")
+    u, v = one(sys, "u"), one(sys, "v")
+    assert orbit_tree_code(u, 0) == orbit_tree_code(v, 0) == "(1)"
+    assert orbit_tree_code(u, 1) == "(1:3x(1),(2))"
+    assert orbit_tree_code(v, 1) == "(1:(1),2x(2))"
+    assert all(orbit_tree_code(u, n) != orbit_tree_code(v, n) for n in range(1, 13))
+    # a subtree fixed pointwise has a code linear in its depth
+    assert len(orbit_tree_code(Element(sys, ()), MAX_DEPTH)) < 10 * MAX_DEPTH
 
 
 def test_orbit_codes_agree_across_the_carry_pair(carry):
