@@ -142,6 +142,17 @@ def _prune(graph: ConjGraph, expand, cap: int | None = None) -> ConjGraph:
     return graph
 
 
+def _closure_graph(a: Element, b: Element, cap: int, letters: str) -> ConjGraph:
+    """An empty conjugator graph over the orbit-power closures of a and
+    b anchored at letters; status "exceeded" when either hits the cap."""
+    _same_system(a, b)
+    os_a, os_b = orbit_signalizer(a, cap, letters=letters), orbit_signalizer(b, cap, letters=letters)
+    graph = ConjGraph((0, 0), os_a.interner, os_a, os_b)
+    if not (os_a.complete and os_b.complete):
+        graph.status = "exceeded"
+    return graph
+
+
 def conj_graph(a: Element, b: Element, cap: int = 512) -> ConjGraph:
     """Pruned conjugator graph of (a, b) over the full group.
 
@@ -153,13 +164,10 @@ def conj_graph(a: Element, b: Element, cap: int = 512) -> ConjGraph:
     orbit-power sections at x and at x pi.  Status "exceeded" (and an
     empty graph) when either closure hits the cap.
     """
-    _same_system(a, b)
-    os_a = orbit_signalizer(a, cap, letters="all")
-    os_b = orbit_signalizer(b, cap, letters="all")
-    graph = ConjGraph((0, 0), os_a.interner, os_a, os_b)
-    if not (os_a.complete and os_b.complete):
-        graph.status = "exceeded"
+    graph = _closure_graph(a, b, cap, "all")
+    if not graph.complete:
         return graph
+    os_a, os_b = graph.os_a, graph.os_b
     # orbit-power successors (index, anchor letter) -> index
     succ_a = {(e[0], e[3]): e[2] for e in os_a.edges}
     succ_b = {(e[0], e[3]): e[2] for e in os_b.edges}
@@ -214,12 +222,10 @@ def conjugate_in_aut(a: Element, b: Element, cap: int = 512) -> ConjDecision:
     order of least letters, and maps x a^t to y b^t along each matched
     pair of cycles.  Unknown when either closure exceeds cap elements.
     """
-    _same_system(a, b)
-    os_a, os_b = orbit_signalizer(a, cap), orbit_signalizer(b, cap)
-    graph = ConjGraph((0, 0), os_a.interner, os_a, os_b)
-    if not (os_a.complete and os_b.complete):
-        graph.status = "exceeded"
+    graph = _closure_graph(a, b, cap, "least")
+    if not graph.complete:
         return ConjDecision("unknown", graph, reason="orbit-power closure exceeded cap %d" % cap)
+    os_a, os_b = graph.os_a, graph.os_b
     na = len(os_a.elements)
     rows: list = [[] for _ in range(na + len(os_b.elements))]  # per node: (letter, size, successor)
     for base, os in ((0, os_a), (na, os_b)):

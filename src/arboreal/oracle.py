@@ -137,9 +137,11 @@ def orbit_tree_code(g: Element, n: int) -> str:
     def code(w, k, s):
         if k == 0:
             return "(%d)" % s
-        kids = sorted([code(u, k - 1, s * m) for m, u in _orbit_powers(sys, w)])
-        counted = (c if kids.count(c) == 1 else "%dx%s" % (kids.count(c), c) for c in dict.fromkeys(kids))
-        return "(%d:%s)" % (s, ",".join(counted))
+        kids: dict = {}  # child code -> number of child orbits with it
+        for m, u in _orbit_powers(sys, w):
+            c = code(u, k - 1, s * m)
+            kids[c] = kids.get(c, 0) + 1
+        return "(%d:%s)" % (s, ",".join(c if kids[c] == 1 else "%dx%s" % (kids[c], c) for c in sorted(kids)))
 
     return code(g.word, n, 1)
 

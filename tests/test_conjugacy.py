@@ -172,8 +172,11 @@ def test_exponential_pair_exceeds_the_cap(branch):
 def test_witness_expansion_when_it_fits():
     sys = parse_system("alphabet 2\na = (e, a) [1 0]\n")
     a = one(sys, "a")
-    dec = conjugate_in_aut(a, inverse(a))
-    for w in all_basic_conjugators(dec.graph):
+    # the pruned graph holds both witnesses, the straight one and the
+    # one that swaps the spine at the root
+    witnesses = all_basic_conjugators(conj_graph(a, inverse(a)))
+    assert len(witnesses) == 2
+    for w in witnesses:
         m = expand_to_finite_state(w)
         assert m == minimize(w.element)
         assert m.n_states <= 2
