@@ -9,8 +9,10 @@ runs the queries once.  It prints what the queries asked of the word
 problem: `Interner.key` calls, interner probes and the probes that
 found their signature bucket empty, `_equal_words` calls, `_bisimulate`
 calls by outcome, the words whose signature the queries computed (new
-entries of the per-word signature memo), `FRSystem.section` calls, and
-the signature depth of each alphabet degree seen.  The benchmark's tracer
+entries of the per-word signature memo), `FRSystem.section` calls, the
+work of the simultaneous tuple graphs (constraint tuples built, the
+Schreier words sectioned for them, and the surviving tuple vertices),
+and the signature depth of each alphabet degree seen.  The benchmark's tracer
 wraps public functions only, so it cannot count these.  Work done while
 building the inputs is not counted.  The library is imported from ./src;
 nothing under src/ or bench/ is changed.
@@ -74,6 +76,21 @@ def census(workload, seed: int) -> tuple:
         counts["_bisimulate %s" % (res if isinstance(res, bool) else "Exceeded")] += 1
         return res
 
+    conjugacy = A.conjugacy
+    constraint_pairs, sim_conj_graph = conjugacy._constraint_pairs, conjugacy.sim_conj_graph
+
+    def counted_constraint_pairs(system, schreier, *rest):
+        counts["constraint tuples built"] += 1
+        counts["Schreier words sectioned"] += len(schreier)
+        return constraint_pairs(system, schreier, *rest)
+
+    def counted_sim_conj_graph(*args):
+        graph = sim_conj_graph(*args)
+        counts["tuple vertices kept"] += len(graph.vertices)
+        return graph
+
+    conjugacy._constraint_pairs = counted_constraint_pairs
+    conjugacy.sim_conj_graph = counted_sim_conj_graph
     Interner.key = counted("Interner.key", Interner.key)
     FRSystem.section = counted("FRSystem.section", FRSystem.section)
     Interner._probe = counted_probe
@@ -95,7 +112,7 @@ def census(workload, seed: int) -> tuple:
 ROWS = (
     "Interner.key", "probes", "probes into an empty bucket", "_equal_words",
     "_bisimulate True", "_bisimulate False", "_bisimulate Exceeded", "words newly signed",
-    "FRSystem.section",
+    "FRSystem.section", "constraint tuples built", "Schreier words sectioned", "tuple vertices kept",
 )
 
 

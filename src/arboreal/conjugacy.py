@@ -10,8 +10,9 @@ The pruned conjugator graphs serve the rest: `conj_graph` for Pol(0),
 `all_basic_conjugators` and `graph conj`, and `sim_conj_graph` for
 tuples.  A node pairs up a section of the input with one of the
 target: a closure pair (i, j) of the two orbit-power closures, or, for
-simultaneous conjugacy, a 1-tuple (tk,) of a tuple key of interned
-section-word pairs.  A vertex is a node with a root conjugator
+simultaneous conjugacy, a 1-tuple (tk,) of a tuple key, the sorted set
+of the non-trivial interned section-word pairs that one section of the
+conjugator must conjugate.  A vertex is a node with a root conjugator
 candidate pi appended.  One engine, `_prune`, builds every graph: it
 numbers the nodes reachable from the input's node as it finds them,
 and keeps a vertex, one option of its node, only if every orbit of its
@@ -28,7 +29,9 @@ constraints between different coordinates visible.  Each is sectioned
 factor by factor from the sections of the generator words.  A tuple
 vertex's successor at a joint orbit depends on its root conjugator
 only through the image of the orbit's least letter, so it is built
-once per image.
+once per image.  Neither the order of a node's pairs nor the vacuous
+pair (e, e) changes what it asks of a conjugator, so a tuple key keeps
+neither, and the empty key is the unconstrained node.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .classify import OrbitSignalizer, orbit_signalizer
 from .elements import Element, Exceeded, Interner, _same_system, minimize
 from .graphs import breadth_first, refine, surviving
 from .oracle import TruncatedAut, _check_depth
-from .perms import Perm, conjugators, inverse as perm_inverse, orbits
+from .perms import Perm, conjugators, identity, inverse as perm_inverse, orbits
 from .system import EMPTY, FRSystem, Word, format_system, invert_word, join
 
 log = logging.getLogger("arboreal.conjugacy")
@@ -72,9 +75,10 @@ class ConjGraph:
     """Surviving vertices of a conjugator graph, discovered from root.
 
     A node is a closure pair (i, j) or a 1-tuple (tk,) of a tuple key,
-    and a vertex, a node with a root conjugator pi appended, is one
-    option of its node: it survives iff all its successor nodes do.  The
-    graph of a conjugate_in_aut positive has one vertex per node.
+    the sorted set of its non-trivial pairs of interner keys, and a
+    vertex, a node with a root conjugator pi appended, is one option of
+    its node: it survives iff all its successor nodes do.  The graph of
+    a conjugate_in_aut positive has one vertex per node.
     edges[v] maps each orbit letter of v to the surviving vertices of
     its successor node; roots are the surviving vertices of root.
     pairs maps each node with a surviving vertex, in discovery order,
@@ -354,15 +358,19 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> ConjGraph:
     """Pruned conjugator graph of the tuples as_ and bs.
 
     Nodes are the 1-tuples (tk,) reachable from the input's, tk a tuple
-    key: the distinct pairs of interner keys of the section words that
-    must be conjugate by one section of the conjugator.  The vertices
-    of a node are (tk, tau), tau a common root conjugator of its pairs,
-    and at the least letter of each joint orbit of the a-side a vertex
-    leads to the tuple of its Schreier constraint pairs.  That successor
-    depends on tau only through the image of the orbit's least letter,
-    so it is built once per image.  Status "exceeded" (and an empty
-    graph) when a word comparison runs out of budget or more than cap
-    vertices are found.
+    key: the set, sorted, of the pairs of interner keys of the section
+    words that must be conjugate by one section of the conjugator,
+    without the pair of two trivial keys.  Tuples that differ only in
+    order or in (e, e) ask the same of a conjugator, so they are one
+    node.  The vertices of a node are (tk, tau), tau a common root
+    conjugator of its pairs, and at the least letter of each joint orbit
+    of the a-side a vertex leads to the tuple of its Schreier constraint
+    pairs.  That successor depends on tau only through the image of the
+    orbit's least letter, so it is built once per image.  The empty key
+    constrains nothing: every permutation is a vertex and each letter
+    leads back to the node, as at (e, e) in the pair graph.  Status
+    "exceeded" (and an empty graph) when a word comparison runs out of
+    budget or more than cap vertices are found.
     """
     if len(as_) != len(bs) or not as_:
         raise ValueError("need equally many source and target elements")
@@ -370,19 +378,21 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> ConjGraph:
     for g in list(as_) + list(bs):
         _same_system(as_[0], g)
     intern = Interner(sys)
+    trivial = None  # key of the trivial class, once interned
 
     def tuple_key(pairs):
-        keys = []
-        seen = set()
+        nonlocal trivial
+        keys = set()
         for wa, wb in pairs:
             ka = intern.key(wa)
             kb = intern.key(wb)
             if isinstance(ka, Exceeded) or isinstance(kb, Exceeded):
                 return None
-            if (ka, kb) not in seen:
-                seen.add((ka, kb))
-                keys.append((ka, kb))
-        return tuple(keys)
+            if trivial is None and ka == kb and intern.lookup(EMPTY) == ka:
+                trivial = ka
+            if (ka, kb) != (trivial, trivial):
+                keys.add((ka, kb))
+        return tuple(sorted(keys))
 
     root_key = tuple_key([(a.word, b.word) for a, b in zip(as_, bs)])
     graph = ConjGraph((root_key,), intern)
@@ -391,6 +401,9 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> ConjGraph:
         return graph
 
     def expand(node):
+        if not node[0]:  # unconstrained: every permutation, each letter back here
+            opts = conjugators(identity(sys.degree), identity(sys.degree))
+            return [node + (pi,) for pi in opts], list(range(sys.degree)), [[node] * sys.degree] * len(opts)
         a_words, b_words, perms_a = _tuple_words(graph, node)
         opts = None
         for p, wb in zip(perms_a, b_words):

@@ -127,18 +127,20 @@ def orbit_tree_code(g: Element, n: int) -> str:
     Orbit-power recursion, grouped by syntactic identity: an orbit of
     size s whose power section is w has one child orbit of size s*m per
     orbit (x, m) of the root permutation of w, with power section
-    w^m|_x.  Memoised on (w, k, s) for one call.
+    w^m|_x.  Memoised for one call: the orbit powers on w, the code on
+    (w, k, s).
     """
     sys = g.system
     if n > MAX_DEPTH:
         raise DepthTooLarge("depth %d exceeds %d levels" % (n, MAX_DEPTH))
+    powers = cache(lambda w: _orbit_powers(sys, w))
 
     @cache
     def code(w, k, s):
         if k == 0:
             return "(%d)" % s
         kids: dict = {}  # child code -> number of child orbits with it
-        for m, u in _orbit_powers(sys, w):
+        for m, u in powers(w):
             c = code(u, k - 1, s * m)
             kids[c] = kids.get(c, 0) + 1
         return "(%d:%s)" % (s, ",".join(c if kids[c] == 1 else "%dx%s" % (kids[c], c) for c in sorted(kids)))
@@ -151,24 +153,31 @@ def verify_conjugator(h, a: Element, b: Element, n: int, max_leaves: int = MAX_L
 
     State-pair walk: the two level-k maps agree exactly when the root
     permutations agree at every vertex above level k, so walk the pairs
-    of sections (h^-1*a*h|_v, b|_v) one level at a time, each level a
-    set of syntactically distinct pairs, and compare root permutations
-    at depths 0..n-1.  The guard is on what the walk holds, not on the
-    d^n vertices of a level: DepthTooLarge when a level holds more than
-    max_leaves pairs or a section word more than MAX_WORD_LENGTH letters.
+    of sections (h^-1*a*h|_v, b|_v), syntactically distinct, and compare
+    root permutations at depths 0..n-1.  One visited set spans all
+    levels and each level expands only the pairs it adds; a level that
+    adds none closes the walk, and the check then holds at every depth.
+    The guard is on what the walk holds, not on the d^n vertices of a
+    level: DepthTooLarge when it holds more than max_leaves pairs or a
+    section word more than MAX_WORD_LENGTH letters.
     """
     h = getattr(h, "element", h)
     sa, sb = a.system, b.system
-    pairs = {(multiply(multiply(inverse(h), a), h).word, b.word)}
+    level = {(multiply(multiply(inverse(h), a), h).word, b.word)}
+    seen = set(level)
     for depth in range(n):
-        if len(pairs) > max_leaves:
-            raise DepthTooLarge("%d section pairs at depth %d exceed %d" % (len(pairs), depth, max_leaves))
-        if any(len(u) > MAX_WORD_LENGTH or len(v) > MAX_WORD_LENGTH for u, v in pairs):
+        if len(seen) > max_leaves:
+            raise DepthTooLarge("%d section pairs at depth %d exceed %d" % (len(seen), depth, max_leaves))
+        if any(len(u) > MAX_WORD_LENGTH or len(v) > MAX_WORD_LENGTH for u, v in level):
             raise DepthTooLarge("a section word at depth %d exceeds %d letters" % (depth, MAX_WORD_LENGTH))
-        if any(sa.root_perm(u) != sb.root_perm(v) for u, v in pairs):
+        if any(sa.root_perm(u) != sb.root_perm(v) for u, v in level):
             return False
-        if depth < n - 1:
-            pairs = {(sa.section(u, x), sb.section(v, x)) for u, v in pairs for x in range(sa.degree)}
+        if depth == n - 1:
+            break
+        level = {(sa.section(u, x), sb.section(v, x)) for u, v in level for x in range(sa.degree)} - seen
+        if not level:
+            break
+        seen |= level
     return True
 
 

@@ -3,6 +3,7 @@ simultaneous variant, and canonical representatives."""
 
 import collections
 import functools
+import math
 
 import pytest
 
@@ -20,6 +21,7 @@ from arboreal import (
     equal,
     expand_to_finite_state,
     inverse,
+    is_trivial,
     minimize,
     multiply,
     orbit_tree_code,
@@ -34,7 +36,7 @@ from arboreal.conjugacy import _joint_orbits
 from arboreal.elements import Interner
 from arboreal.graphs import refine, surviving
 from arboreal.oracle import random_bounded
-from arboreal.perms import orbits
+from arboreal.perms import identity, orbits
 from arboreal.system import EMPTY, invert_word, join, merge_into, parse_system, parse_word, reduce_word
 
 from conftest import BRANCH, CARRY, TWISTED, one, swap_chains
@@ -361,12 +363,17 @@ def schreier_pairs(sys, a_words, b_words, perms_a, orbit_info, pi):
     return pairs
 
 
-def reference_sim_conj_graph(as_, bs):
+def reference_sim_conj_graph(as_, bs, ordered=False, cap=None):
     """(vertices, edges, roots, number of vertices found) of the tuple
-    graph without a cap, each orbit edge listing every vertex of its
-    successor tuple, or None when a word comparison runs out of budget.
-    Every vertex builds the constraint tuple of each joint orbit from
-    its own root conjugator."""
+    graph, each orbit edge listing every vertex of its successor tuple,
+    or None when a word comparison runs out of budget or more than cap
+    vertices are found.  Every vertex builds the constraint tuple of each
+    joint orbit from its own root conjugator.
+
+    A tuple key is the sorted set of its constraint pairs of interner
+    keys without the pair (e, e); with ordered, the distinct pairs in
+    the order they come, (e, e) included, which gives other nodes but
+    the same verdicts."""
     sys = as_[0].system
     intern = Interner(sys)
 
@@ -376,15 +383,15 @@ def reference_sim_conj_graph(as_, bs):
             k = (intern.key(wa), intern.key(wb))
             if isinstance(k[0], Exceeded) or isinstance(k[1], Exceeded):
                 return None
-            if k not in keys:
+            if k not in keys and (ordered or k != (intern.lookup(EMPTY),) * 2):
                 keys.append(k)
-        return tuple(keys)
+        return tuple(keys if ordered else sorted(keys))
 
     def options(tk):
-        opts = None
+        opts = conjugators(identity(sys.degree), identity(sys.degree))
         for ka, kb in tk:
             cs = conjugators(sys.root_perm(intern.words[ka]), sys.root_perm(intern.words[kb]))
-            opts = list(cs) if opts is None else [p for p in opts if p in cs]
+            opts = [p for p in opts if p in cs]
         return [(tk, tau) for tau in opts]
 
     root = tuple_key([(a.word, b.word) for a, b in zip(as_, bs)])
@@ -409,6 +416,8 @@ def reference_sim_conj_graph(as_, bs):
                 if s not in seen:
                     seen.add(s)
                     found.append(s)
+        if cap is not None and len(found) > cap:
+            return None
     alive = reference_surviving({v: e.values() for v, e in all_edges.items()})
     vertices = [v for v in found if v in alive]
     edges = {
@@ -431,18 +440,23 @@ def random_pairs():
             yield lambda build=build: build(inverted=False)
 
 
+def planted_pair(k, d):
+    """([g, f], [g^h, f^h]) for g the last and f the first symbol of
+    random_bounded(k, 6, d) and h the last of random_bounded(1000 + k,
+    3, d): the simultaneous inputs of the Aut sweep."""
+    sys = random_bounded(k, 6, d)
+    other = random_bounded(1000 + k, 3, d)
+    h = one(sys, merge_into(sys, other)[other.symbols[-1]])
+    gs = [one(sys, sys.symbols[-1]), one(sys, sys.symbols[0])]
+    return gs, [multiply(multiply(inverse(h), g), h) for g in gs]
+
+
 def planted_tuples():
     """Builders of ([g, f], [g^h, f^h]) with a planted finite-state h, on
     random bounded systems of degrees 2-5 and on the CARRY fixture."""
     for d in (2, 3, 4, 5):
         for k in range(0, 12, 3):
-            def build(k=k, d=d):
-                sys = random_bounded(k, 6, d)
-                other = random_bounded(1000 + k, 3, d)
-                h = one(sys, merge_into(sys, other)[other.symbols[-1]])
-                gs = [one(sys, sys.symbols[-1]), one(sys, sys.symbols[0])]
-                return gs, [multiply(multiply(inverse(h), g), h) for g in gs]
-            yield build
+            yield functools.partial(planted_pair, k, d)
 
     def carry():
         sys = parse_system(CARRY)
@@ -467,6 +481,30 @@ def planted_triples():
                 gs = [one(sys, names[-1]), one(sys, names[0]), one(sys, names[len(names) // 2])]
                 return gs, [multiply(multiply(inverse(h), g), h) for g in gs]
             yield build
+
+
+def trivial_tuples():
+    """Builders of tuples with trivial components: [a, e] against
+    [b, e] and against [a^-1, e], e spelled b*c*d in Grigorchuk's group,
+    all-trivial tuples at degrees 2 and 3, a planted pair with e
+    appended, and the negative [a, e] against [a^-1, a]."""
+    def build(text, left, right):
+        sys = parse_system(text)
+        return [Element.parse(sys, w) for w in left], [Element.parse(sys, w) for w in right]
+
+    yield functools.partial(build, TWISTED, ["a", "e"], ["b", "e"])
+    yield functools.partial(build, TWISTED, ["a", "e"], ["a^-1", "e"])
+    yield functools.partial(build, CLASSIC["grigorchuk"][0], ["a", "b*c*d"], ["a", "e"])
+    yield functools.partial(build, TWISTED, ["e", "e"], ["e", "e"])
+    yield functools.partial(build, CLASSIC["hanoi"][0], ["e"], ["x*x"])
+    yield functools.partial(build, TWISTED, ["a", "e"], ["a^-1", "a"])
+
+    def appended():
+        gs, hs = planted_pair(3, 3)
+        e = Element(gs[0].system, EMPTY)
+        return gs + [e], hs + [e]
+
+    yield appended
 
 
 # degree 5 with trivial root permutations on a and b (and on their
@@ -609,6 +647,56 @@ def test_the_tuple_cap_bounds_every_vertex_found():
             assert graph.complete == (found <= cap), (cap, found)
             if graph.complete:
                 assert len(graph.vertices) <= cap
+
+
+def test_a_tuple_key_is_the_sorted_set_of_its_non_trivial_pairs(monkeypatch):
+    expanded = []
+    tuple_words = conjugacy._tuple_words
+
+    def recorded(graph, node):
+        expanded.append(node)
+        return tuple_words(graph, node)
+
+    monkeypatch.setattr(conjugacy, "_tuple_words", recorded)
+    unconstrained = 0
+    for build in [*planted_tuples(), *trivial_tuples()]:
+        expanded.clear()
+        graph = sim_conj_graph(*build(), cap=10**6)
+        assert graph.complete
+        sys, words = graph.interner.system, graph.interner.words
+        for (tk,) in expanded + list(graph.pairs):
+            assert list(tk) == sorted(set(tk))
+            for ka, kb in tk:
+                assert not (is_trivial(Element(sys, words[ka])) and is_trivial(Element(sys, words[kb])))
+        # the empty key leaves every permutation, each letter leading back
+        if ((),) in graph.pairs:
+            unconstrained += 1
+            everything = graph.pairs[((),)]
+            assert graph.pair_options(()) == list(conjugators(identity(sys.degree), identity(sys.degree)))
+            assert len(everything) == math.factorial(sys.degree)
+            for v in everything:
+                assert graph.edges[v] == {x: everything for x in range(sys.degree)}
+    assert unconstrained >= 3
+
+
+def test_tuple_verdicts_match_the_ordered_keys_with_the_trivial_pair():
+    # the ordered keys keeping (e, e) give other nodes, but a node means
+    # "some h conjugates every pair in it" either way
+    verdicts = collections.Counter()
+    # the rest of the Aut sweep's tuples: planted_tuples holds k < 12
+    sweep = [functools.partial(planted_pair, k, d) for d in (3, 4, 5) for k in range(12, 28, 3)]
+    for build in [*planted_tuples(), *planted_triples(), *sweep, *trivial_tuples()]:
+        as_, bs = build()
+        graph = sim_conj_graph(as_, bs, cap=10**6)
+        ref = reference_sim_conj_graph(*build(), ordered=True, cap=4096)
+        assert graph.complete and ref is not None
+        assert bool(graph.roots) == bool(ref[2])
+        verdicts[bool(graph.roots)] += 1
+        if graph.roots:
+            h = sim_basic_conjugator(graph).element
+            for a, b in zip(as_, bs):
+                assert verify_conjugator(h, a, b, 6)
+    assert verdicts == {True: 65, False: 1}
 
 
 def test_a_one_tuple_at_cap_zero_is_unknown_like_the_pair(odometer):

@@ -198,6 +198,27 @@ def test_the_pair_walk_guards_the_pairs_it_holds(odometer):
         verify_conjugator(e, a, a, 40, max_leaves=1)
 
 
+def test_a_closed_pair_walk_holds_at_every_depth():
+    # the pairs of k^-1*a*k against a^-1, k the spine of swaps, close
+    # after a few levels, so a depth no level-by-level walk could reach
+    # is answered at once
+    sys = parse_system("alphabet 2\na = (e, a) [1 0]\nk = (k, k) [1 0]\n")
+    a, k = one(sys, "a"), one(sys, "k")
+    assert verify_conjugator(k, a, inverse(a), 10**9, max_leaves=8)
+    assert not verify_conjugator(k, a, a, 10**9)
+
+
+def test_a_deep_first_mismatch_is_found():
+    # b1 follows the odometer down its spine for four levels, then stops
+    # carrying: the first root permutations that differ are at depth 4,
+    # below a level that already repeats the pair (e, e)
+    sys = parse_system("alphabet 2\na = (e, a) [1 0]\nb1 = (e, b2) [1 0]\n"
+                       "b2 = (e, b3) [1 0]\nb3 = (e, b4) [1 0]\nb4 = (e, e) [1 0]\n")
+    e, a, b = Element(sys, ()), one(sys, "a"), one(sys, "b1")
+    assert [verify_conjugator(e, a, b, n) for n in range(12)] == [True] * 5 + [False] * 7
+    assert not verify_conjugator(e, a, b, 10**9)
+
+
 def test_truncated_order_growth(odometer):
     _, a = odometer
     assert [truncated_order(a, n) for n in (1, 2, 3, 10)] == [2, 4, 8, 1024]

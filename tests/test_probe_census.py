@@ -1,4 +1,5 @@
-"""Smoke run of scripts/probe_census.py: one pass of closure_growth."""
+"""Smoke runs of scripts/probe_census.py: one pass of closure_growth and
+one of aut_degree_sweep."""
 
 import importlib.util
 import re
@@ -8,32 +9,48 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "probe_census.py"
 
 
-def test_probe_census_counts_the_word_problem_calls(capsys, monkeypatch):
+def census(capsys, monkeypatch, workload: str) -> dict:
+    """The rows that scripts/probe_census.py prints for one pass of
+    workload at seed 1, checked for shape."""
     # the script wraps private functions of the library (Interner._probe,
-    # _bisimulate, _equal_words) and reads the signature memos, so a
-    # rename there shows here; it imports the library afresh, and the
-    # suite's own modules come back afterwards
+    # _bisimulate, _equal_words, _constraint_pairs) and reads the
+    # signature memos, so a rename there shows here; it imports the
+    # library afresh, and the suite's own modules come back afterwards
     monkeypatch.setattr(sys, "path", list(sys.path))
     saved = {n: m for n, m in sys.modules.items() if n == "arboreal" or n.startswith("arboreal.")}
     try:
         spec = importlib.util.spec_from_file_location("probe_census", SCRIPT)
-        census = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(census)
-        assert census.main(["--workload", "closure_growth", "--seed", "1"]) == 0
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--workload", workload, "--seed", "1"]) == 0
     finally:
         for name in [n for n in sys.modules if n == "arboreal" or n.startswith("arboreal.")]:
             del sys.modules[name]
         sys.modules.update(saved)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(census.ROWS) + 2
-    assert lines[0] == "workload closure_growth seed 1"
+    assert len(lines) == len(script.ROWS) + 2
+    assert lines[0] == "workload %s seed 1" % workload
     counts = {}
     for line in lines[1:-1]:
         name, value = re.fullmatch(r"(\S.*\S) +(\d+)", line).groups()
         counts[name] = int(value)
-    assert list(counts) == list(census.ROWS)
+    assert list(counts) == list(script.ROWS)
     assert re.fullmatch(r"signature depth by degree +(\d+: \d+)(, \d+: \d+)*", lines[-1])
+    return counts
+
+
+def test_probe_census_counts_the_word_problem_calls(capsys, monkeypatch):
+    counts = census(capsys, monkeypatch, "closure_growth")
     assert 0 <= counts["probes into an empty bucket"] <= counts["probes"] <= counts["Interner.key"]
     assert counts["Interner.key"] > 0 and counts["_equal_words"] > 0
     outcomes = sum(counts["_bisimulate %s" % r] for r in ("True", "False", "Exceeded"))
     assert outcomes <= counts["_equal_words"]
+    # closure_growth builds no tuple graph
+    assert counts["constraint tuples built"] == counts["tuple vertices kept"] == 0
+
+
+def test_probe_census_counts_the_tuple_graph_work(capsys, monkeypatch):
+    counts = census(capsys, monkeypatch, "aut_degree_sweep")
+    assert counts["constraint tuples built"] > 0
+    assert counts["Schreier words sectioned"] >= counts["constraint tuples built"]
+    assert counts["tuple vertices kept"] > 0
