@@ -11,15 +11,21 @@ leave as it is, each in a subprocess on the library of this checkout:
 
 and prints the sha256 of each one's stdout with the guard's name.  Two
 checkouts that print the same four lines pass the guards; with --out DIR
-the outputs are written there as well, one file per guard, to diff the
-lines of a guard that moved:
+the outputs are written there as well, one file per guard.  With
+--against DIR each guard's output is compared with DIR/<guard>.txt of an
+earlier --out run: under its sha256 line the guard prints how many lines
+moved, then the moved lines, "- " before an earlier line and "+ " before
+its replacement.  The digest line that closes identity_corpus and
+cli_transcripts is not compared:
 
-    python scripts/guards.py --out /tmp/guards-new
+    python scripts/guards.py --out /tmp/guards-old        # on the parent
+    python scripts/guards.py --against /tmp/guards-old    # on the change
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import os
 import subprocess
@@ -46,10 +52,21 @@ def run_guard(args: list) -> str:
                    if not line.startswith("elapsed"))
 
 
+def moved(old: str, new: str) -> list:
+    """The lines of new that differ from old, each "- " an old line or
+    "+ " a new one, in output order; digest lines are not compared."""
+    def records(text):
+        return [line for line in text.splitlines() if not line.startswith("sha256 ")]
+    diff = difflib.unified_diff(records(old), records(new), lineterm="", n=0)
+    return [line[0] + " " + line[1:] for line in list(diff)[2:] if not line.startswith("@@")]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=None, metavar="DIR",
                     help="also write each guard's output to DIR/<guard>.txt")
+    ap.add_argument("--against", type=Path, default=None, metavar="DIR",
+                    help="print the lines that moved against DIR/<guard>.txt of an earlier --out run")
     ns = ap.parse_args(argv)
     if ns.out:
         ns.out.mkdir(parents=True, exist_ok=True)
@@ -58,6 +75,11 @@ def main(argv=None) -> int:
         if ns.out:
             (ns.out / ("%s.txt" % name)).write_text(text)
         print("sha256 %s  %s" % (hashlib.sha256(text.encode()).hexdigest(), name))
+        if ns.against:
+            lines = moved((ns.against / ("%s.txt" % name)).read_text(), text)
+            print("%d lines moved in %s" % (sum(line[0] == "+" for line in lines), name))
+            for line in lines:
+                print(line)
     return 0
 
 

@@ -12,7 +12,9 @@ calls by outcome, the words whose signature the queries computed (new
 entries of the per-word signature memo), `FRSystem.section` calls, the
 work of the simultaneous tuple graphs (constraint tuples built, the
 Schreier words sectioned for them, and the surviving tuple vertices),
-and the signature depth of each alphabet degree seen.  The benchmark's tracer
+the pair conjugator graphs the Pol(0) decider built, the all-anchor
+orbit-power closures built (two per pair graph), and the signature
+depth of each alphabet degree seen.  The benchmark's tracer
 wraps public functions only, so it cannot count these.  Work done while
 building the inputs is not counted.  The library is imported from ./src;
 nothing under src/ or bench/ is changed.
@@ -91,6 +93,12 @@ def census(workload, seed: int) -> tuple:
 
     conjugacy._constraint_pairs = counted_constraint_pairs
     conjugacy.sim_conj_graph = counted_sim_conj_graph
+    A.bounded.conj_graph = counted("Pol(0) pair graphs built", A.bounded.conj_graph)
+    orbit_signalizer = A.classify.orbit_signalizer
+
+    def counted_orbit_signalizer(g, cap=512, letters="least"):
+        counts["all-anchor closures built"] += letters == "all"
+        return orbit_signalizer(g, cap, letters)
     Interner.key = counted("Interner.key", Interner.key)
     FRSystem.section = counted("FRSystem.section", FRSystem.section)
     Interner._probe = counted_probe
@@ -101,6 +109,8 @@ def census(workload, seed: int) -> tuple:
     for mod in [m for n, m in sys.modules.items() if n.startswith("arboreal.")]:
         if getattr(mod, "_equal_words", None) is equal_words:
             mod._equal_words = counted_equal
+        if getattr(mod, "orbit_signalizer", None) is orbit_signalizer:
+            mod.orbit_signalizer = counted_orbit_signalizer
     for q in queries:
         q.run()
     counts["words newly signed"] = sum(len(s._sig) - sigs_before.get(id(s), 0) for s in systems)
@@ -113,6 +123,7 @@ ROWS = (
     "Interner.key", "probes", "probes into an empty bucket", "_equal_words",
     "_bisimulate True", "_bisimulate False", "_bisimulate Exceeded", "words newly signed",
     "FRSystem.section", "constraint tuples built", "Schreier words sectioned", "tuple vertices kept",
+    "Pol(0) pair graphs built", "all-anchor closures built",
 )
 
 

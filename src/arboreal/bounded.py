@@ -7,8 +7,13 @@ state at the least vertex.  For bounded inputs the set of reachable
 configurations is finite, so the finitary decision is a fixpoint over
 it, walked layer by layer only until the queried depth is at most the
 number of layers expanded, which makes it exact.  The bounded decision
-runs the rule table _RULES, then reduction sweeps, over one per-query
-state; tests/test_bounded.py tests each rule and the sweep alone.
+walks the input pair's configuration first: a finitary depth answers
+conjugate, and a closed walk whose root dies in the survival fixpoint
+answers not conjugate in Aut, before any conjugator graph is built.
+Only the pairs left open build the pruned graph, whose closure cap then
+bounds the answer, and run the rule table _RULES, then reduction
+sweeps, over one per-query state; tests/test_bounded.py tests each rule
+and the sweep alone.
 
 The matrix procedure is the constructive cross-check: per choice of a
 conjugating permutation for every configuration, a column-stochastic-
@@ -516,16 +521,16 @@ def _require_bounded(*gs: Element):
 
 class _Pol0:
     """Per-query state of conjugate_in_pol0_cyclic: the pruned Aut graph,
-    the space, the FinSat, the closure keys ka and kb, dist (each pair's
-    rule entry), fixed, a _fixed_edges memo for the cycle search's
+    the FinSat and its space, the closure keys ka and kb, dist (each
+    pair's rule entry), fixed, a _fixed_edges memo for the cycle search's
     re-walks, and rows(v), memoised: per orbit of vertex v = (i, j, pi)
     its letter, size, induced configuration and surviving successors,
     from space.steps read only when first asked, in the rules' order."""
 
-    def __init__(self, graph, space: ConfigSpace, cap: int):
-        self.graph, self.space, self.fin = graph, space, FinSat(space, cap=max(4096, cap * 8))
-        self.ka = [space.key(g.word) for g in graph.os_a.elements]
-        self.kb = [space.key(g.word) for g in graph.os_b.elements]
+    def __init__(self, graph, fin: FinSat):
+        self.graph, self.fin, self.space = graph, fin, fin.space
+        self.ka = [self.space.key(g.word) for g in graph.os_a.elements]
+        self.kb = [self.space.key(g.word) for g in graph.os_b.elements]
         self.dist, self.fixed, self._rows = {}, {}, {}
 
     def config(self, i: int, j: int) -> int:
@@ -540,8 +545,10 @@ class _Pol0:
 
 
 def _seed(st: _Pol0, i: int, j: int) -> dict:
-    """The pair's own configuration has a finitary conjugator.  After the
-    seed pass every non-trivial pair configuration has cached steps."""
+    """The pair's own configuration has a finitary conjugator; the input
+    pair's walk ran before the graph was built, so it adds other pairs
+    only.  After the seed pass every non-trivial pair configuration has
+    cached steps."""
     cfg = st.config(i, j)
     return {(i, j): ("finitary", cfg)} if st.fin.satisfiable(cfg) is not None else {}
 
@@ -662,21 +669,35 @@ def _synthesize(st: _Pol0) -> Word:
 def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> RestrictedDecision:
     """Conjugacy of bounded automorphisms by a bounded automorphism.
 
-    A bounded conjugator is a conjugator in Aut(T), so the decision runs
-    over the pruned conjugator graph conj_graph of the pair: its surviving
-    pairs in discovery order, the input pair first, their surviving root
-    permutations and their successors.  A graph whose closures exceed
-    the cap answers unknown, and one that keeps no root vertex answers
-    not_conjugate, each with the graph's reason.  Otherwise
-    a monotone fixpoint over the pairs runs each rule of _RULES (_seed,
-    _moving, _circuit) over every pair in turn, then reduction sweeps
-    (_sweep); tests/test_bounded.py calls each of them on its own.  The
-    rule set follows the structure theory of bounded automata; its
-    completeness is not proved here, so every positive answer carries an
-    exactly verified conjugator, and negatives report the stable set.
+    Pol(-1) lies in Pol(0), which lies in Aut(T), so the input pair's own
+    configuration walk comes first, on a FinSat of cap max(4096, 8 cap):
+    a finitary depth answers conjugate (rule finitary), and a closed walk
+    whose root dies in the survival fixpoint (_closure) answers
+    not_conjugate in Aut, as the configurations an Aut conjugator
+    satisfies survive.  Only otherwise is the pruned conjugator graph
+    conj_graph built, so cap bounds only those answers: a graph whose
+    closures exceed it answers unknown, and one that keeps no root vertex
+    not_conjugate, each with the graph's reason.  Else a monotone
+    fixpoint over its pairs, in discovery order, the input pair first,
+    runs each rule of _RULES (_seed, _moving, _circuit) on the same
+    FinSat over every pair in turn, then reduction sweeps (_sweep);
+    tests/test_bounded.py calls each of them on its own.  The rule set
+    follows the structure theory of bounded automata; its completeness
+    is not proved here, so every positive answer carries an exactly
+    verified conjugator, and negatives report the stable set.
     """
     _require_bounded(a, b)
-    sys = _same_system(a, b)
+    fin = FinSat(ConfigSpace.of(_same_system(a, b)), max(4096, cap * 8))
+    try:
+        root = fin.space.root_config(a, b)
+    except _CapExceeded:
+        pass  # _Pol0 meets the interner's cap again, past the Aut gate
+    else:
+        if fin.satisfiable(root) is not None:
+            return _verified(a, b, fin.witness_word(root), "finitary")
+        if fin.status == "complete" and root not in _closure(fin.space, root, fin.univ).viable:
+            return RestrictedDecision("not_conjugate", certificate="not conjugate in Aut: no root branch "
+                                      "survives the closed configuration walk (%d walked)" % len(fin.univ))
     aut = _decide(conj_graph(a, b, cap), "orbit-power closure exceeded cap %d" % cap,
                   "no root vertex survives pruning")
     if aut.tag == "unknown":
@@ -684,7 +705,7 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
     if not aut.conjugate:
         return RestrictedDecision("not_conjugate", certificate="not conjugate in Aut: %s" % aut.reason)
     try:
-        st = _Pol0(aut.graph, ConfigSpace.of(sys), cap)
+        st = _Pol0(aut.graph, fin)
     except _CapExceeded as exc:
         return RestrictedDecision("unknown", certificate="interner cap: %s" % (exc.info,))
     # the input pair sits first; once it is distinguished the others are
@@ -702,19 +723,25 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
     if (0, 0) not in st.dist:
         return RestrictedDecision("not_conjugate", certificate="fixpoint distinguished %d of %d orbit-power "
                                   "pairs without reaching the input pair" % (len(st.dist), len(st.graph.pairs)))
-    h = Element(sys, _synthesize(st))
+    return _verified(a, b, _synthesize(st), st.dist[(0, 0)][0])
+
+
+def _verified(a: Element, b: Element, word: Word, rule: str) -> RestrictedDecision:
+    """The Pol(0) answer for the witness word that rule gave: conjugate
+    once the word passes its exact check, with its classification."""
+    sys = a.system
+    h = Element(sys, word)
     sys.validate()
     check = _conjugates(sys, h.word, a.word, b.word)
     if check is not True:
         log.error("bounded witness failed verification for (%s, %s): %r", a, b, check)
         return RestrictedDecision("unknown", certificate="witness verification failed")
-    cls = "finitary" if st.dist[(0, 0)][0] == "finitary" else "bounded"
-    note = "rule %s" % st.dist[(0, 0)][0]
+    note = "rule %s" % rule
     wcls = polynomial_degree(h)
     if not wcls.bounded:
         log.warning("bounded witness classified as %s", wcls)
         note += "; witness classification %s" % (wcls,)
-    return RestrictedDecision("conjugate", h, cls, certificate=note)
+    return RestrictedDecision("conjugate", h, "finitary" if rule == "finitary" else "bounded", certificate=note)
 
 
 def conjugate_in_pol_inf(a: Element, b: Element, cap: int = 512) -> RestrictedDecision:

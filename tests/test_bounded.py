@@ -3,8 +3,10 @@ the cyclic decider, and the counting matrix systems."""
 
 import collections
 import gc
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,12 +31,12 @@ from arboreal import (
     random_bounded,
     verify_conjugator,
 )
-from arboreal import elements
+from arboreal import bounded, elements
 from arboreal.bounded import ConfigSpace, FinSat, _Pol0, _circuit, _closure, _conjugates, _moving, _seed, _sweep
 from arboreal.conjugacy import ConjGraph, conj_graph
-from arboreal.elements import Exceeded
+from arboreal.elements import Element, Exceeded
 from arboreal.perms import orbits
-from arboreal.system import format_word, merge_into, parse_system, reduce_word
+from arboreal.system import format_word, merge_into, parse_system, parse_word, reduce_word
 
 from conftest import CARRY, ODOMETER, TWISTED, ZOO, deep_bounded, deep_chains, one, recursion_headroom, swap_chains
 from test_identity_corpus import load as load_corpus
@@ -378,10 +380,14 @@ def test_deciders_on_one_system_share_its_space():
     assert configurations(a, b).space is configurations(a, u).space is ConfigSpace.of(a.system)
 
 
+WALK_NEGATIVE = "not conjugate in Aut: no root branch survives the closed configuration walk"
+
+
 def test_pol0_verdicts_sit_below_the_aut_verdicts():
     # conjugate in Pol(-1) => conjugate in Pol(0) => conjugate in Aut,
-    # and an Aut negative is a Pol(0) negative, certified by the pruned
-    # graph, on the 80 planted and coded-negative corpus pairs
+    # and an Aut negative is a Pol(0) negative, certified by the pair's
+    # closed configuration walk, on the 80 planted and coded-negative
+    # corpus pairs
     tags = collections.Counter()
     for _, _, _, a, b, _ in load_corpus().pairs(30, 10):
         aut = conjugate_in_aut(a, b)
@@ -394,13 +400,80 @@ def test_pol0_verdicts_sit_below_the_aut_verdicts():
             assert aut.conjugate
         if aut.tag == "not_conjugate":
             assert dec.tag == "not_conjugate"
-            assert dec.certificate == "not conjugate in Aut: no root vertex survives pruning"
+            closure = configurations(a, b)
+            assert closure.root not in closure.viable
+            assert dec.certificate == "%s (%d walked)" % (WALK_NEGATIVE, len(closure.universe))
             assert aut.reason.startswith("orbit trees differ at depth ")
     assert tags == {
         ("conjugate", "conjugate", "conjugate"): 27,
         ("not_conjugate", "conjugate", "conjugate"): 13,
         ("not_conjugate", "not_conjugate", "not_conjugate"): 40,
     }
+
+
+def test_pol0_answers_from_its_walk_before_any_graph(monkeypatch):
+    # the pair's own configuration walk needs no conjugator graph and no
+    # closure cap: with conj_graph refused, at cap 0, a finitary planted
+    # pair is conjugate by its finitary witness and a coded negative is
+    # not conjugate
+    def refuse(*args):
+        raise AssertionError("conj_graph built")
+
+    monkeypatch.setattr(bounded, "conj_graph", refuse)
+    (_, _, _, a, b, depth), (kind, _, _, a2, u, _) = itertools.islice(load_corpus().pairs(1, 0), 2)
+    assert kind == "negative" and a2 is a
+    dec = conjugate_in_pol0_cyclic(a, b, cap=0)
+    assert (dec.tag, dec.cls, dec.certificate) == ("conjugate", "finitary", "rule finitary")
+    assert _conjugates(a.system, dec.conjugator.word, a.word, b.word) is True
+    assert verify_conjugator(dec.conjugator, a, b, depth)
+    dec = conjugate_in_pol0_cyclic(a, u, cap=0)
+    assert dec.tag == "not_conjugate" and dec.certificate.startswith(WALK_NEGATIVE)
+
+
+def test_walk_certified_pol0_negatives_are_aut_negatives():
+    # on the whole identity corpus every coded negative, and nothing
+    # else, is a walk-certified Pol(0) negative, and Aut agrees on each
+    walked = []
+    for kind, d, s, a, b, _ in load_corpus().pairs(150, 40):
+        dec = conjugate_in_pol0_cyclic(a, b)
+        if dec.tag == "not_conjugate" and dec.certificate.startswith(WALK_NEGATIVE):
+            walked.append(kind)
+            assert conjugate_in_aut(a, b).tag == "not_conjugate", (kind, d, s)
+    assert walked == ["negative"] * 190
+
+
+def cli_fixture_pairs():
+    """(system text, w1, w2) of every pair that scripts/cli_transcripts.py
+    asks the bounded deciders about, in its order."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cli_transcripts.py"
+    spec = importlib.util.spec_from_file_location("cli_transcripts", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for name, (text, words, vertex) in script.FIXTURES.items():
+        for args in script.runs(name, words, vertex):
+            # once per pair: its Pol(-1) run at cap 0
+            if args[0] == "conjugate" and args[-2:] == ["--group", "pol-1"] and args[5] == "0":
+                yield text, args[2], args[3]
+
+
+def test_pol_minus1_conjugates_are_pol0_conjugates_at_every_cap():
+    # each decision on a fresh system, as the CLI makes it; pairs that are
+    # not bounded are refused by both deciders
+    def fresh(text, *words):
+        sys = parse_system(text)
+        return [Element(sys, parse_word(w)) for w in words]
+
+    checked = 0
+    for text, w1, w2 in cli_fixture_pairs():
+        for cap in (0, 1, 3, 20):
+            try:
+                fin = conjugate_in_pol_minus1(*fresh(text, w1, w2), cap)
+            except NotBounded:
+                continue
+            if fin.conjugate:
+                assert conjugate_in_pol0_cyclic(*fresh(text, w1, w2), cap).conjugate, (text, w1, w2, cap)
+                checked += 1
+    assert checked == 25
 
 
 def steps_from_definition(space, cfg, pi):
@@ -485,18 +558,20 @@ def test_one_dense_id_per_configuration_value():
 
 
 def test_the_steps_memo_holds_nothing_the_collector_tracks():
-    # configurations are ints and each orbit step a tuple of ints, so
-    # after a collection the steps memo and the configuration values
-    # leave the cyclic collector nothing to walk; the first collection
-    # makes the query's own collections fall at the same points each run
+    # configurations are ints and each orbit step a tuple of ints, so the
+    # steps memo and the configuration values leave the cyclic collector
+    # nothing to walk.  A collection untracks one level of nested tuples:
+    # a flat configuration value is untracked by one full collection, a
+    # steps entry (a tuple of step tuples, keyed by a configuration and a
+    # permutation tuple) by two, whenever the query's own collections ran
     a, b = planted_pair(0, 3, 6, 4)
-    gc.collect()
     assert conjugate_in_pol0_cyclic(a, b).conjugate
     space = ConfigSpace.of(a.system)
-    gc.collect()
     assert space._succ and space.configs
-    assert not any(gc.is_tracked(k) or gc.is_tracked(v) for k, v in space._succ.items())
+    gc.collect()
     assert not any(gc.is_tracked(value) for value in space.configs)
+    gc.collect()
+    assert not any(gc.is_tracked(k) or gc.is_tracked(v) for k, v in space._succ.items())
 
 
 def full_closure(space, roots):
@@ -733,8 +808,9 @@ def test_sweeps_take_the_first_ready_vertex_gauss_seidel():
 
 
 def pol0_state(a, b):
-    """The _Pol0 state of the pair, over its pruned Aut graph."""
-    return _Pol0(conj_graph(a, b), ConfigSpace.of(a.system), 512)
+    """The _Pol0 state of the pair, over its pruned Aut graph and a
+    FinSat with the decider's cap at the default closure cap."""
+    return _Pol0(conj_graph(a, b), FinSat(ConfigSpace.of(a.system), 4096))
 
 
 def test_moving_builds_its_candidate_from_the_closure_words():

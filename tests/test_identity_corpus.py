@@ -30,8 +30,8 @@ def test_identity_corpus_prints_records_and_their_digest(capsys):
     # the slice's verdicts, witnesses and symbol names, pinned; the aut
     # vertex counts are those of the equal-colour pairs reachable from the
     # input pair, a negative's aut reason is the depth at which the orbit
-    # trees differ, and its pol0 certificate is the pruned graph's
-    assert last == "sha256 c26ed3d118ab2ebeb34c7cae39e606825b9d0bbcc3ad28a276c023164d1826ba"
+    # trees differ, and its pol0 certificate is its closed configuration walk's
+    assert last == "sha256 dfe6e60437fe23a438900071e05f97a5e615004bcb0b5a61bb8d0a12bb023d34"
     # a second run in the same process prints the same corpus
     corpus.main(["--deg2", "2", "--deg3", "1"])
     assert capsys.readouterr().out.splitlines()[-1] == last

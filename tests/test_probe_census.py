@@ -1,5 +1,5 @@
-"""Smoke runs of scripts/probe_census.py: one pass of closure_growth and
-one of aut_degree_sweep."""
+"""Smoke runs of scripts/probe_census.py: one pass each of closure_growth,
+aut_degree_sweep and bounded_planted."""
 
 import importlib.util
 import re
@@ -45,8 +45,9 @@ def test_probe_census_counts_the_word_problem_calls(capsys, monkeypatch):
     assert counts["Interner.key"] > 0 and counts["_equal_words"] > 0
     outcomes = sum(counts["_bisimulate %s" % r] for r in ("True", "False", "Exceeded"))
     assert outcomes <= counts["_equal_words"]
-    # closure_growth builds no tuple graph
+    # closure_growth builds no tuple graph and runs no Pol(0) query
     assert counts["constraint tuples built"] == counts["tuple vertices kept"] == 0
+    assert counts["Pol(0) pair graphs built"] == counts["all-anchor closures built"] == 0
 
 
 def test_probe_census_counts_the_tuple_graph_work(capsys, monkeypatch):
@@ -54,3 +55,14 @@ def test_probe_census_counts_the_tuple_graph_work(capsys, monkeypatch):
     assert counts["constraint tuples built"] > 0
     assert counts["Schreier words sectioned"] >= counts["constraint tuples built"]
     assert counts["tuple vertices kept"] > 0
+
+
+def test_probe_census_counts_the_pol0_pair_graphs(capsys, monkeypatch):
+    # of the 380 Pol(0) queries of a bounded_planted pass, the 135 planted
+    # pairs with a finitary conjugator and the 190 coded negatives answer
+    # from their configuration walk; only the other 55 build a pair graph,
+    # over two all-anchor closures each
+    counts = census(capsys, monkeypatch, "bounded_planted")
+    assert counts["Pol(0) pair graphs built"] == 55
+    assert counts["all-anchor closures built"] == 110
+    assert counts["constraint tuples built"] == 0
