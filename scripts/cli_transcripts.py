@@ -10,7 +10,9 @@ degree-3 rotation system), each run once plain and once with `--json`.
 
 A record holds the arguments, the exit code, stdout and stderr, with
 `timings` dropped from a `--json` report.  Each printed line shows the
-exit code, the arguments and the first output line; the last line is
+exit code, the arguments, the first output line and the first 12 hex
+digits of the sha256 of the run's record, so a run whose output moved
+below its first line still prints a line that moved.  The last line is
 the sha256 of all records, so two versions of the library that print
 the same digest gave the same CLI output on the whole matrix:
 
@@ -140,9 +142,10 @@ def main(argv=None) -> int:
                 for args in runs(name, words, vertex):
                     for extra in ([], ["--json"]):
                         code, stdout, stderr, first = run_cli(args + extra)
-                        record = json.dumps([args + extra, code, stdout, stderr])
-                        digest.update(record.encode() + b"\n")
-                        print("%s %s :: %s" % (code, " ".join(args + extra), first))
+                        record = json.dumps([args + extra, code, stdout, stderr]).encode()
+                        digest.update(record + b"\n")
+                        print("%s %s :: %s :: %s" % (code, " ".join(args + extra), first,
+                                                     hashlib.sha256(record).hexdigest()[:12]))
         finally:
             os.chdir(here)
     print("sha256 %s" % digest.hexdigest())

@@ -35,7 +35,7 @@ import logging
 from dataclasses import dataclass
 
 from .classify import polynomial_degree
-from .conjugacy import _decide, _orbit_sections, _pair_sections, conj_graph
+from .conjugacy import _orbit_sections, _pair_sections, conj_graph
 from .elements import EQUALITY_BUDGET, Element, Exceeded, Interner, _equal_words, _same_system
 from .graphs import breadth_first, surviving
 from .perms import Perm, compose, conjugators, is_identity, inverse as perm_inverse, orbits
@@ -677,11 +677,11 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
     satisfies survive.  Only otherwise is the pruned conjugator graph
     conj_graph built, so cap bounds only those answers: a graph whose
     closures exceed it answers unknown, and one that keeps no root vertex
-    not_conjugate, each with the graph's reason.  Else a monotone
-    fixpoint over its pairs, in discovery order, the input pair first,
-    runs each rule of _RULES (_seed, _moving, _circuit) on the same
-    FinSat over every pair in turn, then reduction sweeps (_sweep);
-    tests/test_bounded.py calls each of them on its own.  The rule set
+    not_conjugate.  Else a monotone fixpoint over its pairs, in discovery
+    order, the input pair first, runs each rule of _RULES (_seed,
+    _moving, _circuit) on the same FinSat over every pair in turn, then
+    reduction sweeps (_sweep); tests/test_bounded.py calls each of them
+    on its own.  The rule set
     follows the structure theory of bounded automata; its completeness
     is not proved here, so every positive answer carries an exactly
     verified conjugator, and negatives report the stable set.
@@ -698,14 +698,14 @@ def conjugate_in_pol0_cyclic(a: Element, b: Element, cap: int = 512) -> Restrict
         if fin.status == "complete" and root not in _closure(fin.space, root, fin.univ).viable:
             return RestrictedDecision("not_conjugate", certificate="not conjugate in Aut: no root branch "
                                       "survives the closed configuration walk (%d walked)" % len(fin.univ))
-    aut = _decide(conj_graph(a, b, cap), "orbit-power closure exceeded cap %d" % cap,
-                  "no root vertex survives pruning")
-    if aut.tag == "unknown":
-        return RestrictedDecision("unknown", certificate=aut.reason)
-    if not aut.conjugate:
-        return RestrictedDecision("not_conjugate", certificate="not conjugate in Aut: %s" % aut.reason)
+    graph = conj_graph(a, b, cap)
+    if not graph.complete:
+        return RestrictedDecision("unknown", certificate="orbit-power closure exceeded cap %d" % cap)
+    if not graph.roots:
+        return RestrictedDecision("not_conjugate", certificate="not conjugate in Aut: no root vertex "
+                                  "survives pruning")
     try:
-        st = _Pol0(aut.graph, fin)
+        st = _Pol0(graph, fin)
     except _CapExceeded as exc:
         return RestrictedDecision("unknown", certificate="interner cap: %s" % (exc.info,))
     # the input pair sits first; once it is distinguished the others are

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .elements import Element, Exceeded, Interner, _same_system, _section_graph, minimize
-from .graphs import strongly_connected_components
+from .graphs import breadth_first, strongly_connected_components
 from .perms import orbits
 from .system import EMPTY, invert_word, join
 
@@ -158,48 +158,25 @@ def is_bounded(g: Element) -> bool:
 
 def circuit_word(g: Element):
     """Shortest nonempty letter word v with g|_v = g, lexicographically
-    least among the shortest; NOT_CIRCUIT when no section returns."""
+    least among the shortest; NOT_CIRCUIT when no section returns.  A
+    breadth_first walk of the minimal machine from state 0, letters
+    ascending, finds each state first by its least shortest path, so the
+    first letter seen leading back to state 0 ends the answer."""
     mach = minimize(g)
     if isinstance(mach, Exceeded):
         return mach
-    n = mach.n_states
-    rev = [[] for _ in range(n)]
-    for i in range(n):
-        for t in mach.transitions[i]:
-            if i not in rev[t]:
-                rev[t].append(i)
-    dist = [None] * n
-    dist[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for s in rev[t]:
-                if dist[s] is None:
-                    dist[s] = dist[t] + 1
-                    nxt.append(s)
-        frontier = nxt
-    best = None
-    for x in range(mach.degree):
-        t = mach.transitions[0][x]
-        if dist[t] is not None:
-            length = 1 + dist[t]
-            if best is None or length < best:
-                best = length
-    if best is None:
-        return NOT_CIRCUIT
-    word = []
-    cur = 0
-    remaining = best
-    while remaining:
-        for x in range(mach.degree):
-            t = mach.transitions[cur][x]
-            if dist[t] is not None and dist[t] <= remaining - 1:
-                word.append(x)
-                cur = t
-                remaining -= 1
-                break
-    return tuple(word)
+    path = {0: ()}  # per state, the first path found to it
+    back = []  # words that lead state 0 back to itself, in the order found
+
+    def successors(i):
+        for x, t in enumerate(mach.transitions[i]):
+            if t == 0:
+                back.append(path[i] + (x,))
+            path.setdefault(t, path[i] + (x,))
+        return mach.transitions[i]
+
+    breadth_first(0, successors)
+    return back[0] if back else NOT_CIRCUIT
 
 
 # -- orbit-signalizer ---------------------------------------------------------

@@ -203,14 +203,6 @@ class ConjDecision:
         return self.tag == "conjugate"
 
 
-def _decide(graph: ConjGraph, unknown: str, negative: str) -> ConjDecision:
-    if not graph.complete:
-        return ConjDecision("unknown", graph, reason=unknown)
-    if graph.roots:
-        return ConjDecision("conjugate", graph)
-    return ConjDecision("not_conjugate", graph, reason=negative)
-
-
 def conjugate_in_aut(a: Element, b: Element, cap: int = 512) -> ConjDecision:
     """Conjugacy in Aut(T), as isomorphism of the orbit trees of a and b.
 
@@ -432,8 +424,12 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> ConjGraph:
 
 
 def conjugate_in_aut_simultaneous(as_: list, bs: list, cap: int = 1024) -> ConjDecision:
-    return _decide(sim_conj_graph(as_, bs, cap), "tuple graph exceeded cap %d" % cap,
-                   "no root tuple vertex survives pruning")
+    graph = sim_conj_graph(as_, bs, cap)
+    if not graph.complete:
+        return ConjDecision("unknown", graph, reason="tuple graph exceeded cap %d" % cap)
+    if not graph.roots:
+        return ConjDecision("not_conjugate", graph, reason="no root tuple vertex survives pruning")
+    return ConjDecision("conjugate", graph)
 
 
 # -- conjugator synthesis -------------------------------------------------------

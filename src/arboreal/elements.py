@@ -3,9 +3,11 @@
 An Element never enumerates the tree: its action, sections and powers
 are evaluated lazily through the defining recursion of its system.
 Equality is the word problem and is decided by a bisimulation over
-pairs of words, up to the equalities already known, with a budget; a
+pairs of words, up to the equalities already known, with a budget.  A
 decision is remembered, so repeated set membership tests cost one
-dictionary lookup.
+dictionary lookup: an equality in the system's union-find, which
+answers first, and a refutation in its _eq, which holds refutations
+only.
 """
 
 from __future__ import annotations
@@ -175,11 +177,12 @@ def _bisimulate(sys: FRSystem, u: Word, v: Word, budget: int):
     most MAX_WORD_LENGTH letters: True, False or Exceeded.
 
     A breadth-first walk over pairs of section words, up to equivalence
-    (Hopcroft and Karp): a pair is skipped when its two words are the
-    same, when the system already knows them equal, or when the pairs
-    merged so far already join them.  A pair whose root permutations
-    differ, or that the system knows to be different, answers False,
-    for the walk and for each merged pair on its path (_refute).
+    (Hopcroft and Karp): a pair is skipped when its two words have one
+    union-find representative, or when the pairs merged so far already
+    join them.  A pair whose root permutations differ, or that _eq
+    refutes, answers False, for the walk and for each merged pair on
+    its path (_refute), which _eq records.  A walk that answers True
+    leaves its equalities in the union-find only.
     Every merged pair is assumed equal, which is sound because the walk
     closes them under sections.  The budget counts merged pairs, the
     first one included.
@@ -202,11 +205,8 @@ def _bisimulate(sys: FRSystem, u: Word, v: Word, budget: int):
                 return Exceeded("word length", MAX_WORD_LENGTH)
             if a == b:
                 continue
-            known = eq.get((a, b) if a <= b else (b, a))
-            if known is False:
+            if ((a, b) if a <= b else (b, a)) in eq:
                 return _refute(eq, merged, up, i)
-            if known:
-                continue
             ra, rb = a, b
             while ra in joined:
                 ra = joined[ra]
@@ -248,27 +248,24 @@ def is_trivial(g: Element):
 
 
 def _equal_words(sys: FRSystem, u: Word, v: Word, budget: int):
-    """Decide u == v for two reduced words: the union-find, the cache of
-    decided pairs and the signature classes, one level permutation per
-    word (system.py), first; then _bisimulate.
+    """Decide u == v for two reduced words: the union-find, which holds
+    every equality proven, the refutations of _eq and the signature
+    classes, one level permutation per word (system.py), first; then
+    _bisimulate, which records its own answer in one of the first two.
     A word longer than MAX_WORD_LENGTH that neither of the first two
     decides is Exceeded, before any signature is built."""
     u, v = sys.find(u), sys.find(v)
     if u == v:
         return True
     key = (u, v) if u <= v else (v, u)
-    cached = sys._eq.get(key)
-    if cached is not None:
-        return cached
+    if key in sys._eq:
+        return False
     if len(u) > MAX_WORD_LENGTH or len(v) > MAX_WORD_LENGTH:
         return Exceeded("word length", MAX_WORD_LENGTH)
     if sys.signature(u) != sys.signature(v):
         sys._eq[key] = False
         return False
-    res = _bisimulate(sys, u, v, budget)
-    if isinstance(res, bool):
-        sys._eq[key] = res
-    return res
+    return _bisimulate(sys, u, v, budget)
 
 
 def equal(g: Element, h: Element, budget: int = EQUALITY_BUDGET):

@@ -7,8 +7,10 @@ graphs and the configuration closures all prune by it.  `refine` is
 colour refinement, which decides conjugacy in Aut over the two
 orbit-power closures.  `breadth_first` walks the configuration
 closures, both while they are built and when their survivors are
-listed, and the conjugator graphs in synthesis: `basic_conjugator`,
-`all_basic_conjugators` and `sim_basic_conjugator`.
+listed, the conjugator graphs in synthesis (`basic_conjugator`,
+`all_basic_conjugators`, `sim_basic_conjugator`), the minimal machine
+in `circuit_word`, a component of the order graph in
+`order._cycle_through` and the definitions in `format_system(roots=...)`.
 `strongly_connected_components` serves the order graphs and the
 circuit analysis of classification.
 """

@@ -13,7 +13,7 @@ from math import lcm
 
 from .classify import OrbitSignalizer, orbit_signalizer
 from .elements import Element
-from .graphs import strongly_connected_components
+from .graphs import breadth_first, strongly_connected_components
 
 
 @dataclass(frozen=True)
@@ -67,26 +67,22 @@ def order_from_graph(graph: OrbitSignalizer) -> OrderResult:
 
 
 def _cycle_through(out, comp_of, edge):
-    """An explicit cycle containing the given intra-component edge."""
-    src, _, tgt = edge[0], edge[1], edge[2]
-    if tgt == src:
-        return (edge,)
-    ci = comp_of[src]
+    """An explicit cycle containing the given intra-component edge: the
+    edge, then the path back from its target to its source along the
+    first edge breadth_first meets into each vertex of the component."""
+    src, tgt = edge[0], edge[2]
     back = {tgt: None}
-    frontier = [tgt]
-    while src not in back:
-        nxt = []
-        for v in frontier:
-            for e in out[v]:
-                if comp_of[e[2]] == ci and e[2] not in back:
-                    back[e[2]] = e
-                    nxt.append(e[2])
-        frontier = nxt
+
+    def successors(v):
+        inside = [e for e in out[v] if comp_of[e[2]] == comp_of[src]]
+        for e in inside:
+            back.setdefault(e[2], e)
+        return [e[2] for e in inside]
+
+    breadth_first(tgt, successors)
     path = []
     v = src
     while v != tgt:
-        e = back[v]
-        path.append(e)
-        v = e[0]
-    path.reverse()
-    return (edge,) + tuple(path)
+        path.append(back[v])
+        v = back[v][0]
+    return (edge,) + tuple(reversed(path))

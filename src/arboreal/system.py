@@ -21,6 +21,7 @@ import re
 from functools import cache
 from operator import itemgetter
 
+from .graphs import breadth_first
 from .perms import Perm, check_perm, format_perm, identity, inverse as perm_inverse, is_identity
 
 # a word is a tuple of (symbol, exponent) with exponent +1 or -1
@@ -97,6 +98,10 @@ class FRSystem:
     definitions when a signature first needs them.  Reads are safe from
     multiple threads under the GIL; concurrent definition is not
     supported.
+
+    A resolved equality is kept once: an equality in the union-find
+    (find, union), a refutation in _eq, which holds refutations only,
+    keyed by the ordered pair of union-find representatives.
 
     _activity (classify.polynomial_degree) and _space, the deciders'
     bounded.ConfigSpace, are other modules' caches.  The space lives as
@@ -473,15 +478,10 @@ def format_system(sys: FRSystem, roots: list[str] | None = None) -> str:
     if roots is None:
         names = list(sys.symbols)
     else:
-        keep = set()
-        stack = list(roots)
-        while stack:
-            n = stack.pop()
-            if n in keep:
-                continue
-            keep.add(n)
-            for w in sys.definition(n)[1]:
-                stack.extend(s for s, _ in w)
+        def successors(n):
+            return [s for w in sys.definition(n)[1] for s, _ in w]
+
+        keep = {n for root in roots for n in breadth_first(root, successors)}
         names = [n for n in sys.symbols if n in keep]
     lines = ["alphabet %d" % sys.degree]
     for n in names:

@@ -128,6 +128,13 @@ def one(sys, name: str) -> Element:
     return Element(sys, ((name, 1),))
 
 
+def short_words(sys) -> list[Element]:
+    """The elements of every word of length at most 2 over the symbols
+    of sys and their inverses, the empty word included."""
+    letters = [((name, x),) for name in sys.symbols for x in (1, -1)]
+    return [Element(sys, w) for w in [()] + letters + [u + v for u in letters for v in letters]]
+
+
 @pytest.fixture
 def odometer():
     sys = parse_system(ODOMETER)

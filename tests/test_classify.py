@@ -22,7 +22,7 @@ from arboreal import classify
 from arboreal.elements import Exceeded, Interner, minimize
 from arboreal.system import parse_system
 
-from conftest import BRANCH, ODOMETER, TWISTED, ZOO, one
+from conftest import BRANCH, ODOMETER, TWISTED, ZOO, one, short_words
 
 
 def _classes(zoo):
@@ -108,6 +108,38 @@ def test_circuit_addresses(zoo):
     assert circuit_word(one(zoo, "a")) == (1,)
     assert circuit_word(one(zoo, "m")) == (1,)
     assert circuit_word(one(zoo, "s")) == NOT_CIRCUIT
+
+
+def _least_return(g):
+    """Letter words by length, then lexicographically, up to the state
+    count of the minimal machine: the first that leads state 0 back to
+    itself, else NOT_CIRCUIT.  A word that enters the trivial state is
+    dropped, as the trivial state leads only to itself, unless it is
+    state 0."""
+    mach = minimize(g)
+    level = [((), 0)]  # (word, state it leads 0 to), in lexicographic order
+    for _ in range(mach.n_states):
+        level = [(w + (x,), t) for w, s in level for x, t in enumerate(mach.transitions[s])
+                 if t != mach.trivial or t == 0]
+        for w, s in level:
+            if s == 0:
+                return w
+    return NOT_CIRCUIT
+
+
+def test_circuit_word_is_the_least_returning_word():
+    inputs = []
+    for degree in (2, 3, 4):
+        for seed in range(40):
+            sys = random_bounded(seed, 6, degree)
+            for name in sys.symbols:
+                inputs += [one(sys, name), inverse(one(sys, name))]
+    for text in (BRANCH, ZOO):
+        inputs += short_words(parse_system(text))
+    found = [circuit_word(g) for g in inputs]
+    assert found == [_least_return(g) for g in inputs]
+    assert 0 < found.count(NOT_CIRCUIT) < len(found)
+    assert max(len(w) for w in found if w is not NOT_CIRCUIT) >= 3
 
 
 def _os_elements(g, cap=512):

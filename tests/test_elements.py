@@ -354,3 +354,10 @@ def test_a_failed_walk_refutes_its_path():
     a, a2, b, b2 = (((n, 1),) for n in ("a", "a2", "b", "b2"))
     assert _bisimulate(sys, a, a2, 100) is False
     assert sys._eq == {(a, a2): False, (b, b2): False}
+    # an equality proven by a walk lands in the union-find only: _eq
+    # holds refutations
+    c, c3 = ("c", 1), ("c3", 1)
+    sys.define("c3", (1, 0), ((), ()))
+    assert equal(Element(sys, (c,)), Element(sys, (c3,))) is True
+    assert sys.find((c3,)) == sys.find((c,))
+    assert sys._eq == {(a, a2): False, (b, b2): False}

@@ -9,11 +9,12 @@ from arboreal import (
     order_from_graph,
     order_graph,
     power,
+    random_bounded,
     truncated_order,
 )
 from arboreal.system import parse_system
 
-from conftest import BRANCH, CARRY, ODOMETER, one
+from conftest import BRANCH, CARRY, ODOMETER, ZOO, one, short_words
 
 
 def test_odometer_has_infinite_order(odometer):
@@ -49,6 +50,28 @@ def test_infinite_witness_is_a_power_cycle(odometer):
     _, a = odometer
     res = order(a)
     assert res.witness  # a circuit in the order graph certifies divergence
+
+
+def test_infinite_witnesses_are_cycles_of_the_order_graph():
+    # each witness is a closed walk of edges (src, m, tgt, letter) of
+    # the order graph, led by an edge of m >= 2
+    inputs = [(g, 64) for text in (BRANCH, ZOO) for g in short_words(parse_system(text))]
+    for degree in (2, 3, 4):
+        for seed in range(20):
+            sys = random_bounded(seed, 6, degree)
+            inputs += [(one(sys, name), 512) for name in sys.symbols]
+    cycles = 0
+    for g, cap in inputs:
+        res = order(g, cap)
+        if res.tag != "infinite":
+            continue
+        edges = set(order_graph(g, cap).edges)
+        w = res.witness
+        assert all(e in edges for e in w)
+        assert all(e[2] == f[0] for e, f in zip(w, w[1:] + w[:1]))
+        assert w[0][1] >= 2
+        cycles += 1
+    assert cycles >= 100
 
 
 def test_order_from_a_prebuilt_graph(carry):

@@ -23,6 +23,25 @@ def test_round_trip_preserves_semantics():
         assert equal(one(sys, name), one(sys, ren[name])) is True
 
 
+def test_format_system_keeps_the_symbols_reachable_from_its_roots():
+    # s is shared by x, y and z, x and y form a cycle, u is reachable
+    # from no root, and y is defined before x, which names it first
+    sys = parse_system(
+        "alphabet 2\ns = (e, e) [1 0]\nu = (s, u)\ny = (x, s)\nx = (y^-1, s) [1 0]\nz = (s, z)\n"
+    )
+    lines = {n: line for n, line in zip(sys.symbols, format_system(sys).splitlines()[1:])}
+
+    def kept(*names):
+        return "".join(line + "\n" for line in ["alphabet 2"] + [lines[n] for n in names])
+
+    assert format_system(sys, roots=["x"]) == kept("s", "y", "x")
+    assert format_system(sys, roots=["y"]) == kept("s", "y", "x")
+    assert format_system(sys, roots=["z"]) == kept("s", "z")
+    assert format_system(sys, roots=["z", "x"]) == kept("s", "y", "x", "z")
+    assert format_system(sys, roots=["u", "s"]) == kept("s", "u")
+    assert format_system(sys, roots=list(sys.symbols)) == format_system(sys)
+
+
 def test_identity_perm_may_be_omitted():
     sys = parse_system("alphabet 2\nf = (e, e) [1 0]\ng = (f, f)\n")
     perm, _ = sys.definition("g")
