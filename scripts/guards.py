@@ -16,7 +16,8 @@ the outputs are written there as well, one file per guard.  With
 earlier --out run: under its sha256 line the guard prints how many lines
 moved, then the moved lines, "- " before an earlier line and "+ " before
 its replacement.  The digest line that closes identity_corpus and
-cli_transcripts is not compared:
+cli_transcripts is not compared.  With --against the exit status is 1
+when any guard moved a line and 0 otherwise:
 
     python scripts/guards.py --out /tmp/guards-old        # on the parent
     python scripts/guards.py --against /tmp/guards-old    # on the change
@@ -70,6 +71,7 @@ def main(argv=None) -> int:
     ns = ap.parse_args(argv)
     if ns.out:
         ns.out.mkdir(parents=True, exist_ok=True)
+    status = 0
     for name, args in GUARDS.items():
         text = run_guard(args)
         if ns.out:
@@ -80,7 +82,8 @@ def main(argv=None) -> int:
             print("%d lines moved in %s" % (sum(line[0] == "+" for line in lines), name))
             for line in lines:
                 print(line)
-    return 0
+            status |= bool(lines)
+    return status
 
 
 if __name__ == "__main__":

@@ -16,8 +16,14 @@ the pair conjugator graphs the Pol(0) decider built, the all-anchor
 orbit-power closures built (two per pair graph), and the signature
 depth of each alphabet degree seen.  The benchmark's tracer
 wraps public functions only, so it cannot count these.  Work done while
-building the inputs is not counted.  The library is imported from ./src;
-nothing under src/ or bench/ is changed.
+building the inputs is not counted.  The library is the first
+`arboreal` on PYTHONPATH, else the one in ./src, and the `library` line
+names its directory:
+
+    PYTHONPATH=OTHER/src python scripts/probe_census.py --workload aut_degree_sweep
+
+measures OTHER's library on this checkout's workloads.  Nothing under
+src/ or bench/ is changed.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path.insert(0, str(ROOT / "bench"))
+sys.path.append(str(ROOT / "src"))
 
 from workloads import WORKLOADS  # noqa: E402
 
@@ -134,6 +141,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     counts, depths = census(WORKLOADS[args.workload], args.seed)
     print("workload %s seed %d" % (args.workload, args.seed))
+    print("library %s" % Path(sys.modules["arboreal"].__file__).parent)
     for row in ROWS:
         print("%-28s %d" % (row, counts[row]))
     print("signature depth by degree    %s" % ", ".join("%d: %s" % kv for kv in sorted(depths.items())))

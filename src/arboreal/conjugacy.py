@@ -26,12 +26,13 @@ successor.
 Simultaneous conjugacy of tuples runs the same game with Schreier
 generators of the joint stabilizer of each orbit, which is what makes
 constraints between different coordinates visible.  Each is sectioned
-factor by factor from the sections of the generator words.  A tuple
-vertex's successor at a joint orbit depends on its root conjugator
-only through the image of the orbit's least letter, so it is built
-once per image.  Neither the order of a node's pairs nor the vacuous
-pair (e, e) changes what it asks of a conjugator, so a tuple key keeps
-neither, and the empty key is the unconstrained node.
+as one generator section between two transversal sections, those of
+the orbit's breadth-first tree paths.  A tuple vertex's successor at a
+joint orbit depends on its root conjugator only through the image of
+the orbit's least letter, so it is built once per image.  Neither the
+order of a node's pairs nor the vacuous pair (e, e) changes what it
+asks of a conjugator, so a tuple key keeps neither, and the empty key
+is the unconstrained node.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 from .classify import OrbitSignalizer, orbit_signalizer
 from .elements import Element, Exceeded, Interner, _same_system, minimize
 from .graphs import breadth_first, refine, surviving
-from .oracle import TruncatedAut, _check_depth
+from .oracle import TruncatedAut, _check_depth, _orbit_powers
 from .perms import Perm, conjugators, identity, inverse as perm_inverse, orbits
 from .system import EMPTY, FRSystem, Word, format_system, invert_word, join
 
@@ -255,81 +256,74 @@ def conjugate_in_aut(a: Element, b: Element, cap: int = 512) -> ConjDecision:
 
 
 def _joint_orbits(perms: list[Perm], degree: int):
-    """Orbits of the group generated by perms, each with a transversal:
-    (least letter, ordered orbit, {letter: index word}) where an index
-    word is a tuple of (generator position, exponent)."""
-    seen = [False] * degree
+    """Orbits of the group generated by perms: (least letter, ordered
+    orbit, tree), tree the breadth-first forest of all the orbits, which
+    maps each letter to the edge (parent, generator position, exponent)
+    that reached it and each least letter to None."""
+    tree: dict = {}
     out = []
     invs = [perm_inverse(p) for p in perms]
     for start in range(degree):
-        if seen[start]:
+        if start in tree:
             continue
         orb = [start]
-        seen[start] = True
-        words = {start: EMPTY}
+        tree[start] = None
         pos = 0
         while pos < len(orb):
             y = orb[pos]
             pos += 1
             for t, p in enumerate(perms):
                 for img, exp in ((p[y], 1), (invs[t][y], -1)):
-                    if not seen[img]:
-                        seen[img] = True
-                        words[img] = words[y] + ((t, exp),)
+                    if img not in tree:
+                        tree[img] = (y, t, exp)
                         orb.append(img)
-        out.append((start, orb, words))
+        out.append((start, orb, tree))
     return out
 
 
-def _index_sections(sys: FRSystem, words: list[Word]):
-    """section(iw, x): the section at letter x of the index word iw over
-    words, joined piecewise from the cached sections and root
-    permutations of words by (g*h)|_x = g|_x * h|_(x^g) and
-    g^-1|_x = (g|_(x^(g^-1)))^-1: the product word is never formed."""
-    perms = [sys.root_perm(w) for w in words]
-
-    def section(iw, x):
-        out: Word = EMPTY
-        for t, exp in iw:
-            if exp == 1:
-                out = join(out, sys.section(words[t], x))
-                x = perms[t][x]
-            else:
-                x = perms[t].index(x)
-                out = join(out, invert_word(sys.section(words[t], x)))
-        return out
-
-    return section
+def _transversal(sys: FRSystem, words: list[Word], orbit_info, at) -> dict:
+    """{y: u_y|_(at[y0])}, the transversal sections of one joint orbit:
+    u_y is the tree path from its least letter y0 to y over words, and
+    at[y] the letter it leads at[y0] to, y on the a-side and y pi on the
+    b-side, pi a common root conjugator.  Built one tree edge at a time
+    by (g*h)|_x = g|_x * h|_(x^g) and g^-1|_x = (g|_(x^(g^-1)))^-1."""
+    _, orb, tree = orbit_info
+    out = {orb[0]: EMPTY}
+    for y in orb[1:]:
+        parent, t, exp = tree[y]
+        sec = sys.section(words[t], at[parent] if exp == 1 else at[y])
+        out[y] = join(out[parent], sec if exp == 1 else invert_word(sec))
+    return out
 
 
-def _schreier_words(a_section, perms_a, orbit_info):
-    """The Schreier words of one joint orbit with their a-side sections.
-
-    For every orbit letter y and every generator index t, the Schreier
-    word t_y * g_t * t_{(y)g_t}^-1 stabilizes the base letter y0.  Each
-    comes as its a-side section at y0 and its index word, which is
-    sectioned on the b-side at the base image of a conjugator.  Tree
-    edges reduce to the empty word and are skipped.
-    """
-    y0, orb, words = orbit_info
+def _schreier_words(sys: FRSystem, a_words: list[Word], perms_a: list[Perm], orbit_info) -> list:
+    """(A(y) * a_t|_y * A(y a_t)^-1, y, t, y a_t) per orbit letter y and
+    generator position t that is no tree edge: the a-side section at y0
+    of the Schreier generator u_y * g_t * u_(y g_t)^-1, which fixes the
+    least letter y0, A the a-side transversal sections."""
+    _, orb, tree = orbit_info
+    sections = _transversal(sys, a_words, orbit_info, range(sys.degree))
     out = []
     for y in orb:
-        for t in range(len(perms_a)):
-            iw = join(join(words[y], ((t, 1),)), invert_word(words[perms_a[t][y]]))
-            if iw:
-                out.append((a_section(iw, y0), iw))
+        for t, p in enumerate(perms_a):
+            img = p[y]
+            if tree[img] != (y, t, 1) and tree[y] != (img, t, -1):
+                wa = join(join(sections[y], sys.section(a_words[t], y)), invert_word(sections[img]))
+                out.append((wa, y, t, img))
     return out
 
 
-def _constraint_pairs(sys, schreier, b_section, z):
+def _constraint_pairs(sys, schreier, b_words, orbit_info, pi):
     """Distinct constraint pairs of one joint orbit for the conjugators
-    that map its base letter to z: the a-side of each Schreier word and
-    its b-side section at z, which the section of the conjugator at the
-    base letter must conjugate into each other."""
+    that agree with pi at its least letter y0, and so on the orbit: each
+    Schreier generator's a-side section and its b-side section at y0 pi,
+    B(y) * b_t|_(y pi) * B(y a_t)^-1, B the b-side transversal sections,
+    which the conjugator's section at y0 must conjugate into each other."""
+    sections = _transversal(sys, b_words, orbit_info, pi)
     pairs = []
     seen = set()
-    for wa, iw in schreier:
-        wb = b_section(iw, z)
+    for wa, y, t, img in schreier:
+        wb = join(join(sections[y], sys.section(b_words[t], pi[y])), invert_word(sections[img]))
         key = (sys.find(wa), sys.find(wb))
         if key not in seen:
             seen.add(key)
@@ -404,16 +398,15 @@ def sim_conj_graph(as_: list, bs: list, cap: int = 1024) -> ConjGraph:
             if not opts:
                 return [], [], []
         joint = _joint_orbits(perms_a, sys.degree)
-        a_section, b_section = _index_sections(sys, a_words), _index_sections(sys, b_words)
-        schreier = [_schreier_words(a_section, perms_a, info) for info in joint]
+        schreier = [_schreier_words(sys, a_words, perms_a, info) for info in joint]
         built: dict = {}  # (orbit index, base image) -> tuple key
         rows = []
         for pi in opts:
             row = []
-            for n, (y0, _, _) in enumerate(joint):
-                at = (n, pi[y0])
+            for n, info in enumerate(joint):
+                at = (n, pi[info[0]])
                 if at not in built:
-                    built[at] = tuple_key(_constraint_pairs(sys, schreier[n], b_section, pi[y0]))
+                    built[at] = tuple_key(_constraint_pairs(sys, schreier[n], b_words, info, pi))
                 row.append(built[at])
             if None in row:
                 return None
@@ -476,19 +469,17 @@ def _tuple_sections(graph: ConjGraph, node, pi: Perm, fills) -> list:
     """Sections of a conjugator of a tuple node with root permutation pi.
 
     fills holds (y0, wit) for the least letter y0 of each joint orbit,
-    with h|_y0 = wit.  Each other letter y of the orbit, the image of y0
-    under the transversal word u of y, gets
-    h|_y = (u_a|_y0)^-1 * wit * u_b|_(y0 pi).
+    with h|_y0 = wit.  Each letter y of the orbit, the image of y0 under
+    the tree path u_y, gets h|_y = A(y)^-1 * wit * B(y), A and B the
+    a-side and b-side transversal sections, which is wit at y0.
     """
     sys = graph.interner.system
     a_words, b_words, perms_a = _tuple_words(graph, node)
-    a_section, b_section = _index_sections(sys, a_words), _index_sections(sys, b_words)
     sections: list = [EMPTY] * sys.degree
-    for (y0, orb, words), (_, wit) in zip(_joint_orbits(perms_a, sys.degree), fills):
-        sections[y0] = wit
-        for y in orb[1:]:
-            lhs = invert_word(a_section(words[y], y0))
-            sections[y] = join(join(lhs, wit), b_section(words[y], pi[y0]))
+    for info, (_, wit) in zip(_joint_orbits(perms_a, sys.degree), fills):
+        lhs, rhs = _transversal(sys, a_words, info, range(sys.degree)), _transversal(sys, b_words, info, pi)
+        for y in info[1]:
+            sections[y] = join(join(invert_word(lhs[y]), wit), rhs[y])
     return sections
 
 
@@ -589,11 +580,7 @@ def canonical_representative(a: Element, depth: int) -> TruncatedAut:
     def rec(w: Word, n: int):
         if n == 0:
             return ((0,),)
-        blocks = []
-        for orb in orbits(sys.root_perm(w)):
-            sub = rec(sys.power_sections(w, orb[0])[-1], n - 1)
-            blocks.append((len(orb), sub))
-        blocks.sort()
+        blocks = sorted((m, rec(u, n - 1)) for m, u in _orbit_powers(sys, w))
         maps = [(0,)]
         for k in range(1, n + 1):
             rest = d ** (k - 1)

@@ -337,6 +337,17 @@ def eval_index_word(words, iw):
     return out
 
 
+def tree_path(tree, y):
+    """The index word of the breadth-first tree path from the least
+    letter of y's joint orbit to y: (generator position, exponent) per
+    edge."""
+    path = []
+    while tree[y] is not None:
+        y, t, exp = tree[y]
+        path.append((t, exp))
+    return tuple(reversed(path))
+
+
 def schreier_pairs(sys, a_words, b_words, perms_a, orbit_info, pi):
     """Constraint pairs at the least letter of one joint orbit.
 
@@ -344,9 +355,11 @@ def schreier_pairs(sys, a_words, b_words, perms_a, orbit_info, pi):
     word t_y * g_t * t_{(y)g_t}^-1 stabilizes the base letter; its
     evaluations on the two sides, sectioned at the base letter and its
     pi-image, must be conjugate by the section of the conjugator there.
-    Tree edges reduce to the empty word and are skipped.
+    Tree edges reduce to the empty word and are skipped.  The index
+    words are rebuilt here from the breadth-first tree of _joint_orbits.
     """
-    y0, orb, words = orbit_info
+    y0, orb, tree = orbit_info
+    words = {y: tree_path(tree, y) for y in orb}
     pairs = []
     seen = set()
     for y in orb:
@@ -595,6 +608,42 @@ def test_tuple_node_graph_matches_the_vertex_level_reference():
     # the inputs reach joint orbits moved by several components, and
     # surviving root conjugators that share an orbit's base image
     assert multi_generator and shared_images
+
+
+def test_transversal_sections_are_sections_of_the_tree_path_words():
+    # at every surviving tuple node of the planted tuples and triples and
+    # of the Aut sweep's [g, f] pairs, the tree path to y, evaluated as a
+    # product word on each side, leads z = y0 to y on the a-side and
+    # z = y0 pi to y pi on the b-side for every surviving pi, and its
+    # section at z is the transversal section there; the sections of a
+    # tuple conjugator follow from them
+    sweep = [functools.partial(planted_pair, k, d) for d in (3, 4, 5) for k in range(0, 28, 3)]
+    inverse_edges = letters = 0
+    for build in [*planted_tuples(), *planted_triples(), *sweep]:
+        graph = sim_conj_graph(*build(), cap=10**6)
+        assert graph.complete
+        sys = graph.interner.system
+        for node, live in graph.pairs.items():
+            a_words, b_words, perms_a = conjugacy._tuple_words(graph, node)
+            wit = b_words[-1] if b_words else EMPTY
+            joint = _joint_orbits(perms_a, sys.degree)
+            for pi in [v[-1] for v in live]:
+                sections = conjugacy._tuple_sections(graph, node, pi, [(y0, wit) for y0, _, _ in joint])
+                for info in joint:
+                    y0, orb, tree = info
+                    lhs = conjugacy._transversal(sys, a_words, info, range(sys.degree))
+                    rhs = conjugacy._transversal(sys, b_words, info, pi)
+                    for y in orb:
+                        ua = eval_index_word(a_words, tree_path(tree, y))
+                        ub = eval_index_word(b_words, tree_path(tree, y))
+                        assert sys.root_perm(ua)[y0] == y and sys.root_perm(ub)[pi[y0]] == pi[y]
+                        assert lhs[y] == sys.section(ua, y0) and rhs[y] == sys.section(ub, pi[y0])
+                        expected = join(join(invert_word(sys.section(ua, y0)), wit), sys.section(ub, pi[y0]))
+                        assert sections[y] == expected
+                        inverse_edges += tree[y] is not None and tree[y][2] == -1
+                        letters += 1
+    # the exponent -1 branch runs
+    assert inverse_edges > 0 and letters > inverse_edges
 
 
 def test_a_tuple_node_builds_one_constraint_tuple_per_orbit_and_image(monkeypatch):

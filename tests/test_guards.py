@@ -20,7 +20,9 @@ NEW = dict(
 )
 
 
-def test_against_prints_the_moved_lines_of_each_guard(tmp_path, capsys, monkeypatch):
+def canned(tmp_path, monkeypatch, new):
+    """guards.py loaded with its runs answering new, and a directory of
+    OLD outputs to compare against."""
     spec = importlib.util.spec_from_file_location("guards", SCRIPT)
     guards = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(guards)
@@ -29,8 +31,14 @@ def test_against_prints_the_moved_lines_of_each_guard(tmp_path, capsys, monkeypa
     for name, text in OLD.items():
         (old / ("%s.txt" % name)).write_text(text)
     by_script = {args[0]: name for name, args in guards.GUARDS.items()}
-    monkeypatch.setattr(guards, "run_guard", lambda args: NEW[by_script[args[0]]])
-    assert guards.main(["--against", str(old), "--out", str(tmp_path / "new")]) == 0
+    monkeypatch.setattr(guards, "run_guard", lambda args: new[by_script[args[0]]])
+    return guards, old
+
+
+def test_against_prints_the_moved_lines_of_each_guard(tmp_path, capsys, monkeypatch):
+    guards, old = canned(tmp_path, monkeypatch, NEW)
+    # a moved line makes the run fail
+    assert guards.main(["--against", str(old), "--out", str(tmp_path / "new")]) == 1
     sha = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in NEW.items()}
     # a digest line is never a moved line, not even one that is new
     assert capsys.readouterr().out.splitlines() == [
@@ -49,3 +57,14 @@ def test_against_prints_the_moved_lines_of_each_guard(tmp_path, capsys, monkeypa
     ]
     assert {p.name: p.read_text() for p in (tmp_path / "new").iterdir()} == {
         "%s.txt" % name: text for name, text in NEW.items()}
+
+
+def test_against_passes_when_no_guard_moved_a_line(tmp_path, capsys, monkeypatch):
+    # new digest lines alone move nothing
+    same = dict(OLD, survey_random=NEW["survey_random"])
+    guards, old = canned(tmp_path, monkeypatch, same)
+    assert guards.main(["--against", str(old)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if not line.startswith("sha256 ")] == [
+        "0 lines moved in %s" % name for name in guards.GUARDS]
+    assert guards.main([]) == 0

@@ -2,7 +2,10 @@
 aut_degree_sweep and bounded_planted."""
 
 import importlib.util
+import os
 import re
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,10 +31,11 @@ def census(capsys, monkeypatch, workload: str) -> dict:
             del sys.modules[name]
         sys.modules.update(saved)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(script.ROWS) + 2
+    assert len(lines) == len(script.ROWS) + 3
     assert lines[0] == "workload %s seed 1" % workload
+    assert lines[1] == "library %s" % Path(saved["arboreal"].__file__).parent
     counts = {}
-    for line in lines[1:-1]:
+    for line in lines[2:-1]:
         name, value = re.fullmatch(r"(\S.*\S) +(\d+)", line).groups()
         counts[name] = int(value)
     assert list(counts) == list(script.ROWS)
@@ -52,9 +56,29 @@ def test_probe_census_counts_the_word_problem_calls(capsys, monkeypatch):
 
 def test_probe_census_counts_the_tuple_graph_work(capsys, monkeypatch):
     counts = census(capsys, monkeypatch, "aut_degree_sweep")
-    assert counts["constraint tuples built"] > 0
-    assert counts["Schreier words sectioned"] >= counts["constraint tuples built"]
-    assert counts["tuple vertices kept"] > 0
+    # the word-problem work and the tuple graphs of one pass, pinned; the
+    # Schreier generators are sectioned from per-orbit transversal
+    # sections, not factor by factor
+    assert {row: counts[row] for row in [
+        "Interner.key", "probes", "probes into an empty bucket", "_equal_words",
+        "_bisimulate True", "_bisimulate False", "_bisimulate Exceeded", "words newly signed",
+        "constraint tuples built", "Schreier words sectioned", "tuple vertices kept"]} == {
+        "Interner.key": 5582, "probes": 1525, "probes into an empty bucket": 1422,
+        "_equal_words": 103, "_bisimulate True": 103, "_bisimulate False": 0,
+        "_bisimulate Exceeded": 0, "words newly signed": 1032, "constraint tuples built": 539,
+        "Schreier words sectioned": 2487, "tuple vertices kept": 1331}
+    assert counts["FRSystem.section"] <= 27590
+
+
+def test_probe_census_measures_the_library_on_pythonpath(tmp_path):
+    # a copy of src/ named by PYTHONPATH is the library measured, not
+    # the checkout's own
+    shutil.copytree(SCRIPT.parents[1] / "src" / "arboreal", tmp_path / "src" / "arboreal")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
+    done = subprocess.run([sys.executable, str(SCRIPT), "--workload", "closure_growth"],
+                          env=env, capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["workload closure_growth seed 1", "library %s" % (tmp_path / "src" / "arboreal")]
 
 
 def test_probe_census_counts_the_pol0_pair_graphs(capsys, monkeypatch):
